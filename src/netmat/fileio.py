@@ -227,10 +227,14 @@ def matrix_from_json_obj(
         raw = obj["cells"]
     except (KeyError, TypeError) as e:
         raise ParseError(f"matrix JSON missing field: {e}", source) from e
+    if not isinstance(raw, (list, tuple)):
+        raise ParseError("matrix JSON cells must be a list of rows", source)
     if len(labels) != n or len(raw) != n:
         raise ParseError(f"matrix JSON shape disagrees with n={n}", source)
     cells = []
     for row in raw:
+        if not isinstance(row, (list, tuple)):
+            raise ParseError(f"matrix JSON row {row!r} is not a list", source)
         if len(row) != n:
             raise ParseError(f"matrix JSON row of length {len(row)}, expected {n}", source)
         cells.append(tuple(INF if v is None else v for v in row))

@@ -22,9 +22,11 @@ Catalogue classes:
 from __future__ import annotations
 
 import json
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .errors import UndefinedProduct, UnknownIdentity
 from .generators import GenConfig, gen_dataset
@@ -144,11 +146,21 @@ class Witness:
 
 @dataclass(frozen=True)
 class IdentityVerdict:
-    """Outcome of evaluating one catalogued relation on one dataset."""
+    """Outcome of evaluating one relation on one dataset.
+
+    ``spec`` carries the evaluated relation, so reports also work for specs
+    outside the catalogue; a verdict built without one refers to the
+    catalogue entry named by ``id``.
+    """
 
     id: str
     holds: bool
     witness: Witness | None = None
+    spec: IdentitySpec | None = field(default=None, compare=False, repr=False)
+
+    def identity(self) -> IdentitySpec:
+        """The evaluated relation: the carried spec, else the catalogue entry."""
+        return self.spec if self.spec is not None else get_identity(self.id)
 
 
 @dataclass(frozen=True)
@@ -163,9 +175,7 @@ class AuditReport:
     def sound(self) -> bool:
         """True iff every UNIVERSAL and MUTUAL_EXCLUSIVITY relation holds."""
         gated = (IdentityClass.UNIVERSAL, IdentityClass.MUTUAL_EXCLUSIVITY)
-        return all(
-            v.holds for v in self.verdicts if get_identity(v.id).kind in gated
-        )
+        return all(v.holds for v in self.verdicts if v.identity().kind in gated)
 
 
 def _had(a, b):
@@ -277,6 +287,12 @@ def get_identity(identity_id: str) -> IdentitySpec:
         raise UnknownIdentity(f"no catalogued identity named {identity_id!r}") from None
 
 
+@lru_cache(maxsize=16)
+def _zero_matrix(n: int) -> CountMatrix:
+    # Matrices are immutable, so symbol tables of one dimension share one.
+    return CountMatrix.zeros(n)
+
+
 def _symbol_table(s: StructureBundle, u: UtilizationBundle) -> dict[str, CountMatrix]:
     return {
         "A": s.A,
@@ -294,7 +310,7 @@ def _symbol_table(s: StructureBundle, u: UtilizationBundle) -> dict[str, CountMa
         "Lhat": u.Lhat,
         "That": u.That,
         "Tchat": u.Tchat,
-        "0": CountMatrix.zeros(s.A.n),
+        "0": _zero_matrix(s.A.n),
     }
 
 
@@ -327,14 +343,18 @@ def evaluate_identity(
     except UndefinedProduct as e:
         raise UndefinedProduct(f"{spec.id}: {e}") from e
     if spec.relation == "leq":
+        row_ok = lambda lr, rr: all(map(operator.le, lr, rr))  # noqa: E731
         bad = lambda a, b: not a <= b  # noqa: E731
     else:
+        row_ok = operator.eq
         bad = lambda a, b: a != b  # noqa: E731
     for i, (lr, rr) in enumerate(zip(lhs.cells, rhs.cells)):
+        if row_ok(lr, rr):
+            continue
         for j, (a, b) in enumerate(zip(lr, rr)):
             if bad(a, b):
-                return IdentityVerdict(spec.id, False, Witness(i, j, a, b))
-    return IdentityVerdict(spec.id, True)
+                return IdentityVerdict(spec.id, False, Witness(i, j, a, b), spec)
+    return IdentityVerdict(spec.id, True, spec=spec)
 
 
 def audit_dataset(d: Dataset, *, name: str = "") -> AuditReport:
@@ -405,6 +425,8 @@ def search_counterexample(
     (identity_id, budget, seed).
     """
     spec = get_identity(identity_id)
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     rng = random.Random(seed)
     for _ in range(budget):
         n = rng.randint(3, 8)
@@ -491,7 +513,7 @@ def report_to_json_obj(report: AuditReport) -> dict:
     labels = report.descriptor.get("labels", [])
     verdicts = []
     for v in report.verdicts:
-        spec = get_identity(v.id)
+        spec = v.identity()
         entry = {
             "id": v.id,
             "class": spec.kind.value,
@@ -523,7 +545,7 @@ def render_table(report: AuditReport) -> str:
     labels = report.descriptor.get("labels", [])
     rows = []
     for v in report.verdicts:
-        spec = get_identity(v.id)
+        spec = v.identity()
         witness = ""
         if v.witness is not None:
             w = v.witness

@@ -9,7 +9,9 @@ operation is a pure function, so matrices are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from .errors import (
     DimensionMismatch,
@@ -73,9 +75,14 @@ ExtendedCount = int | _Unreachable
 
 @dataclass(frozen=True, eq=False)
 class CountMatrix:
-    """Square matrix of extended counts; row = source node, column = sink node."""
+    """Square matrix of extended counts; row = source node, column = sink node.
+
+    ``has_inf`` records whether any cell is INF, so operations can take a
+    whole-row path when neither operand has one.
+    """
 
     cells: tuple[tuple[ExtendedCount, ...], ...]
+    has_inf: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.cells)
@@ -83,6 +90,31 @@ class CountMatrix:
         n = len(rows)
         if n < 1:
             raise ValueError("matrix dimension must be at least 1")
+        has_inf = None
+        if set(map(len, rows)) == {n}:
+            has_inf = self._fast_check(rows)
+        if has_inf is None:
+            # The per-cell loop raises naming the first bad row or cell.
+            self._slow_check(rows, n)
+            has_inf = any(v is INF for row in rows for v in row)
+        object.__setattr__(self, "has_inf", has_inf)
+
+    @staticmethod
+    def _fast_check(rows) -> bool | None:
+        # Whole-matrix form of _cell_ok over every cell: whether the matrix
+        # holds INF, or None when some cell may be bad.
+        types = set(map(type, chain.from_iterable(rows)))
+        if types == {int}:
+            return False if min(chain.from_iterable(rows)) >= 0 else None
+        if not types <= {int, _Unreachable}:
+            return None
+        values = set(chain.from_iterable(rows))
+        values.discard(INF)
+        if any(type(v) is not int or v < 0 for v in values):
+            return None
+        return True
+
+    def _slow_check(self, rows, n: int) -> None:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {n}")
@@ -129,6 +161,13 @@ class BinaryMatrix(CountMatrix):
     """Count matrix whose every cell is 0 or 1."""
 
     @staticmethod
+    def _fast_check(rows) -> bool | None:
+        types = set(map(type, chain.from_iterable(rows)))
+        if types == {int} and set(chain.from_iterable(rows)) <= {0, 1}:
+            return False
+        return None
+
+    @staticmethod
     def _cell_ok(v) -> bool:
         return type(v) is int and (v == 0 or v == 1)
 
@@ -142,11 +181,17 @@ def _same_dimension(x: CountMatrix, y: CountMatrix) -> None:
         raise DimensionMismatch(f"{x.n}x{x.n} vs {y.n}x{y.n}")
 
 
+# Maps a cell to its binarization: 0 and INF to 0, any other count to 1.
+_BIT = {0: 0, INF: 0}.get
+
+
 def binarize(m: CountMatrix) -> BinaryMatrix:
     """1 where the cell is a finite positive count, 0 where it is 0 or INF."""
-    return BinaryMatrix(
-        tuple(tuple(0 if (v is INF or v == 0) else 1 for v in row) for row in m.cells)
-    )
+    return BinaryMatrix(tuple(tuple(map(_BIT, row, repeat(1))) for row in m.cells))
+
+
+def _rowwise(op, x: CountMatrix, y: CountMatrix) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(map(op, xr, yr)) for xr, yr in zip(x.cells, y.cells))
 
 
 def hadamard(x: CountMatrix, y: CountMatrix) -> CountMatrix:
@@ -157,6 +202,19 @@ def hadamard(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     whenever both operands are binary.
     """
     _same_dimension(x, y)
+    if x.has_inf or y.has_inf:
+        rows = _hadamard_cells(x, y)
+    else:
+        rows = _rowwise(operator.mul, x, y)
+    cls = (
+        BinaryMatrix
+        if isinstance(x, BinaryMatrix) and isinstance(y, BinaryMatrix)
+        else CountMatrix
+    )
+    return cls(rows)
+
+
+def _hadamard_cells(x: CountMatrix, y: CountMatrix) -> tuple[tuple, ...]:
     rows = []
     for i, (xr, yr) in enumerate(zip(x.cells, y.cells)):
         row = []
@@ -169,26 +227,18 @@ def hadamard(x: CountMatrix, y: CountMatrix) -> CountMatrix:
             else:
                 row.append(a * b)
         rows.append(tuple(row))
-    cls = (
-        BinaryMatrix
-        if isinstance(x, BinaryMatrix) and isinstance(y, BinaryMatrix)
-        else CountMatrix
-    )
-    return cls(tuple(rows))
+    return tuple(rows)
 
 
 def ew_add(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     """Elementwise sum; both operands must be finite everywhere."""
     _same_dimension(x, y)
-    rows = []
-    for i, (xr, yr) in enumerate(zip(x.cells, y.cells)):
-        row = []
-        for j, (a, b) in enumerate(zip(xr, yr)):
-            if a is INF or b is INF:
-                raise InfiniteOperand(f"INF operand at cell ({i}, {j})")
-            row.append(a + b)
-        rows.append(tuple(row))
-    return CountMatrix(tuple(rows))
+    if x.has_inf or y.has_inf:
+        for i, (xr, yr) in enumerate(zip(x.cells, y.cells)):
+            for j, (a, b) in enumerate(zip(xr, yr)):
+                if a is INF or b is INF:
+                    raise InfiniteOperand(f"INF operand at cell ({i}, {j})")
+    return CountMatrix(_rowwise(operator.add, x, y))
 
 
 def ew_sub(x: CountMatrix, y: CountMatrix) -> CountMatrix:
@@ -200,6 +250,14 @@ def ew_sub(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     InfiniteOperand.
     """
     _same_dimension(x, y)
+    if not (x.has_inf or y.has_inf):
+        rows = _rowwise(operator.sub, x, y)
+        if min(map(min, rows)) >= 0:
+            return CountMatrix(rows)
+    return CountMatrix(_ew_sub_cells(x, y))
+
+
+def _ew_sub_cells(x: CountMatrix, y: CountMatrix) -> tuple[tuple, ...]:
     rows = []
     for i, (xr, yr) in enumerate(zip(x.cells, y.cells)):
         row = []
@@ -213,7 +271,7 @@ def ew_sub(x: CountMatrix, y: CountMatrix) -> CountMatrix:
             else:
                 row.append(a - b)
         rows.append(tuple(row))
-    return CountMatrix(tuple(rows))
+    return tuple(rows)
 
 
 def ew_leq(x: CountMatrix, y: CountMatrix) -> bool:

@@ -1,14 +1,16 @@
 """Structural matrices of a directed graph: adjacency, distance, external.
 
-The distance matrix counts edges on shortest directed paths (hop counts);
-diagonal cells are fixed at 0 even when a cycle returns to the node, so
-binarized structural matrices always have inert zero diagonals.  Self-loops
-are rejected outright for the same reason.
+The distance matrix counts edges on shortest directed paths (hop counts),
+found by breadth-first search from every node; diagonal cells are fixed at
+0 even when a cycle returns to the node, so binarized structural matrices
+always have inert zero diagonals.  Self-loops are rejected outright for the
+same reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .matrices import INF, BinaryMatrix, CountMatrix, binarize, ew_sub
 
@@ -98,34 +100,30 @@ def build_adjacency(g: Graph) -> BinaryMatrix:
 
 
 def distance_matrix(a: BinaryMatrix) -> CountMatrix:
-    """All-pairs shortest hop counts via Floyd-Warshall.
+    """All-pairs shortest hop counts via breadth-first search from each node.
 
     Off-diagonal cells hold the minimum number of edges on any directed
     path, INF when no path exists; diagonal cells are 0 by convention.
     """
     n = a.n
-    dist: list[list[int | None]] = [
-        [0 if i == j else (1 if a.cells[i][j] else None) for j in range(n)]
-        for i in range(n)
-    ]
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik is None or i == k:
-                continue
-            di = dist[i]
-            for j in range(n):
-                dkj = dk[j]
-                if dkj is None:
-                    continue
-                alt = dik + dkj
-                cur = di[j]
-                if cur is None or alt < cur:
-                    di[j] = alt
-    return CountMatrix(
-        tuple(tuple(INF if v is None else v for v in row) for row in dist)
-    )
+    succ = [list(compress(range(n), row)) for row in a.cells]
+    rows = []
+    for src in range(n):
+        dist = [INF] * n
+        dist[src] = 0
+        frontier = [src]
+        hops = 0
+        while frontier:
+            hops += 1
+            reached = []
+            for u in frontier:
+                for w in succ[u]:
+                    if dist[w] is INF:
+                        dist[w] = hops
+                        reached.append(w)
+            frontier = reached
+        rows.append(tuple(dist))
+    return CountMatrix(tuple(rows))
 
 
 def external_matrix(p: CountMatrix, a: BinaryMatrix) -> CountMatrix:

@@ -1,23 +1,93 @@
 """Test-only second implementations kept independent of the library code paths."""
 
-from collections import deque
+from netmat import (
+    INF,
+    BinaryMatrix,
+    CountMatrix,
+    InfiniteOperand,
+    NegativeResult,
+    UndefinedProduct,
+)
 
-from netmat import INF, BinaryMatrix, CountMatrix
 
-
-def bfs_distance_matrix(a: BinaryMatrix) -> CountMatrix:
-    """Hop distances by per-source breadth-first search."""
+def floyd_warshall_distance_matrix(a: BinaryMatrix) -> CountMatrix:
+    """Hop distances by Floyd-Warshall relaxation over every intermediate node."""
     n = a.n
-    succ = [[j for j in range(n) if a.cells[i][j]] for i in range(n)]
+    dist: list[list[int | None]] = [
+        [0 if i == j else (1 if a.cells[i][j] else None) for j in range(n)]
+        for i in range(n)
+    ]
+    for k in range(n):
+        dk = dist[k]
+        for i in range(n):
+            dik = dist[i][k]
+            if dik is None or i == k:
+                continue
+            di = dist[i]
+            for j in range(n):
+                dkj = dk[j]
+                if dkj is None:
+                    continue
+                alt = dik + dkj
+                cur = di[j]
+                if cur is None or alt < cur:
+                    di[j] = alt
+    return CountMatrix(
+        tuple(tuple(INF if v is None else v for v in row) for row in dist)
+    )
+
+
+# Per-cell references for the elementwise operations: each visits cells in
+# row-major order and raises at the first cell the operation cannot handle.
+
+
+def binarize_cells(m: CountMatrix) -> BinaryMatrix:
+    return BinaryMatrix(
+        tuple(tuple(0 if (v is INF or v == 0) else 1 for v in row) for row in m.cells)
+    )
+
+
+def hadamard_cells(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     rows = []
-    for src in range(n):
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in succ[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        rows.append(tuple(dist.get(j, INF) for j in range(n)))
+    for i, (xr, yr) in enumerate(zip(x.cells, y.cells)):
+        row = []
+        for j, (a, b) in enumerate(zip(xr, yr)):
+            if a is INF or b is INF:
+                other = b if a is INF else a
+                if other == 0:
+                    raise UndefinedProduct(f"INF * 0 at cell ({i}, {j})")
+                row.append(INF)
+            else:
+                row.append(a * b)
+        rows.append(tuple(row))
+    binary = isinstance(x, BinaryMatrix) and isinstance(y, BinaryMatrix)
+    return (BinaryMatrix if binary else CountMatrix)(tuple(rows))
+
+
+def ew_add_cells(x: CountMatrix, y: CountMatrix) -> CountMatrix:
+    rows = []
+    for i, (xr, yr) in enumerate(zip(x.cells, y.cells)):
+        row = []
+        for j, (a, b) in enumerate(zip(xr, yr)):
+            if a is INF or b is INF:
+                raise InfiniteOperand(f"INF operand at cell ({i}, {j})")
+            row.append(a + b)
+        rows.append(tuple(row))
+    return CountMatrix(tuple(rows))
+
+
+def ew_sub_cells(x: CountMatrix, y: CountMatrix) -> CountMatrix:
+    rows = []
+    for i, (xr, yr) in enumerate(zip(x.cells, y.cells)):
+        row = []
+        for j, (a, b) in enumerate(zip(xr, yr)):
+            if a is INF:
+                if b is INF:
+                    raise InfiniteOperand(f"INF - INF at cell ({i}, {j})")
+                row.append(INF)
+            elif b is INF or b > a:
+                raise NegativeResult(f"{a!r} - {b!r} at cell ({i}, {j})")
+            else:
+                row.append(a - b)
+        rows.append(tuple(row))
     return CountMatrix(tuple(rows))

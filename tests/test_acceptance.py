@@ -32,7 +32,7 @@ from netmat import (
 from netmat.cli import main
 from netmat.fileio import matrix_from_csv
 
-from oracles import bfs_distance_matrix
+from oracles import floyd_warshall_distance_matrix
 
 GRAPH_TEXT = "nodes: A B C D\nA B\nB C\nB D\nC D\n"
 TRAJ_TEXT = "A B C D\n"
@@ -139,7 +139,7 @@ def test_oracle_equivalence():
         checked = 0
         for dataset in _sweep_datasets():
             s = build_structure(dataset.graph)
-            assert s.P == bfs_distance_matrix(s.A)
+            assert s.P == floyd_warshall_distance_matrix(s.A)
             u = build_utilization(dataset, s)
             assert alternative_route_matrix(dataset, s) == hadamard(s.A, u.L)
             assert substitute_route_matrix(dataset, s) == hadamard(s.Ehat, u.D)

@@ -217,6 +217,12 @@ class TestHunt:
         assert main(["hunt", "NO_SUCH_ID", "--out", str(tmp_path / "h")]) == 2
         assert "no catalogued identity" in capsys.readouterr().err
 
+    def test_negative_budget_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "h"
+        assert main(["hunt", "B.DHAT_TC", "--budget", "-5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: budget must be nonnegative")
+        assert not out.exists()
+
 
 class TestManifest:
     def test_manifest_lists_emitted_files(self, fixture_files, tmp_path):

@@ -149,6 +149,14 @@ class TestMatrixJson:
         with pytest.raises(ParseError):
             matrix_from_json_obj({"n": 1, "labels": ["a"], "cells": [["x"]]})
 
+    def test_row_that_is_not_a_list_rejected(self):
+        with pytest.raises(ParseError, match="row 5 is not a list"):
+            matrix_from_json_obj({"n": 1, "labels": ["a"], "cells": [5]})
+
+    def test_cells_that_are_not_a_list_rejected(self):
+        with pytest.raises(ParseError, match="cells must be a list of rows"):
+            matrix_from_json_obj({"n": 1, "labels": ["a"], "cells": 5})
+
     def test_invalid_json_rejected(self):
         with pytest.raises(ParseError):
             matrix_from_json("{not json")

@@ -8,8 +8,11 @@ from netmat import (
     CATALOGUE,
     Dataset,
     Graph,
+    AuditReport,
     IdentityClass,
+    IdentitySpec,
     Trajectory,
+    UndefinedProduct,
     UnknownIdentity,
     audit_dataset,
     build_structure,
@@ -190,6 +193,24 @@ class TestEvaluate:
         assert (v.witness.row, v.witness.col) == (1, 3)
         assert (v.witness.lhs, v.witness.rhs) == (0, 1)
 
+    def test_inf_times_zero_raises_with_spec_id(self):
+        # a -> b plus an isolated c: P(0, 2) is INF while F(0, 2) is 0.
+        d = Dataset(Graph(("a", "b", "c"), frozenset({(0, 1)})), ())
+        s = build_structure(d.graph)
+        u = build_utilization(d, s)
+        spec = IdentitySpec("EXT.1", IdentityClass.UNIVERSAL, "eq", _had("P", "F"), "0", "")
+        with pytest.raises(UndefinedProduct, match=r"^EXT\.1: INF \* 0 at cell \(0, 2\)$"):
+            evaluate_identity(spec, s, u)
+
+    def test_leq_witness_is_first_bad_cell(self, chain3_graph):
+        d = Dataset(chain3_graph, (Trajectory((0, 1, 2)),) * 2)
+        s = build_structure(d.graph)
+        u = build_utilization(d, s)
+        spec = IdentitySpec("EXT.3", IdentityClass.UNIVERSAL, "leq", "D", "Phat", "")
+        v = evaluate_identity(spec, s, u)
+        assert not v.holds
+        assert (v.witness.row, v.witness.col, v.witness.lhs, v.witness.rhs) == (0, 1, 2, 1)
+
     def test_every_spec_holds_on_empty_dataset(self):
         d = _empty_dataset()
         s = build_structure(d.graph)
@@ -333,6 +354,10 @@ class TestSearch:
         with pytest.raises(UnknownIdentity):
             search_counterexample("NOPE", 10, 0)
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            search_counterexample("X.EHAT_L_NEQ_L", -1, 0)
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -350,6 +375,25 @@ class TestSerialization:
     def test_parsed_specs_evaluate(self, shortcut_structure, shortcut_utilization):
         spec = specs_from_json(catalogue_to_json())[0]
         assert evaluate_identity(spec, shortcut_structure, shortcut_utilization).holds
+
+    def test_external_spec_reports(self, shortcut_dataset):
+        # EXT.2 is not in the catalogue; its verdict carries the spec itself.
+        (spec,) = specs_from_json(
+            json.dumps([{"id": "EXT.2", "class": "UNIVERSAL", "lhs": "Fhat", "rhs": "A"}])
+        )
+        s = build_structure(shortcut_dataset.graph)
+        u = build_utilization(shortcut_dataset, s)
+        v = evaluate_identity(spec, s, u)
+        assert not v.holds and v.identity() is spec
+        descriptor = {"name": "ext", "n": 4, "labels": ["A", "B", "C", "D"],
+                      "edge_count": 4, "trajectory_count": 1}
+        report = AuditReport(descriptor, (v,), False)
+        assert not report.sound
+        (entry,) = report_to_json_obj(report)["verdicts"]
+        assert entry["id"] == "EXT.2" and entry["statement"] == "F̂ = A"
+        assert entry["class"] == "UNIVERSAL"
+        assert entry["witness"]["row_label"] == "B" and entry["witness"]["col_label"] == "D"
+        assert "EXT.2" in render_table(report) and "F̂ = A" in render_table(report)
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):

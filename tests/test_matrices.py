@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from netmat import (
     DimensionMismatch,
     InfiniteOperand,
     NegativeResult,
+    NetmatError,
     UndefinedProduct,
     binarize,
     ew_add,
@@ -18,13 +21,16 @@ from netmat import (
     is_zero,
     mutually_exclusive,
 )
+from netmat.matrices import _Unreachable
+
+from oracles import binarize_cells, ew_add_cells, ew_sub_cells, hadamard_cells
 
 
 @st.composite
-def matrices(draw, max_n=4, max_val=5, allow_inf=False, n=None):
+def matrices(draw, max_n=4, max_val=5, allow_inf=False, n=None, binary=False):
     if n is None:
         n = draw(st.integers(1, max_n))
-    cell = st.integers(0, max_val)
+    cell = st.integers(0, 1 if binary else max_val)
     if allow_inf:
         cell = st.one_of(cell, st.just(INF))
     rows = draw(
@@ -32,7 +38,7 @@ def matrices(draw, max_n=4, max_val=5, allow_inf=False, n=None):
             st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n
         )
     )
-    return CountMatrix(tuple(tuple(r) for r in rows))
+    return (BinaryMatrix if binary else CountMatrix)(tuple(tuple(r) for r in rows))
 
 
 @st.composite
@@ -74,6 +80,37 @@ class TestConstruction:
     def test_zeros(self):
         assert CountMatrix.zeros(3) == CountMatrix(((0,) * 3,) * 3)
         assert isinstance(BinaryMatrix.zeros(2), BinaryMatrix)
+
+    @pytest.mark.parametrize(
+        "bad, shown", [(True, "True"), (1.0, "1.0"), (-1, "-1"), (_Unreachable(), "INF")]
+    )
+    @pytest.mark.parametrize("later_ok", [True, False])
+    def test_first_bad_cell_named(self, bad, shown, later_ok):
+        # Neither the INF at (0, 1) nor a later bad cell at (1, 1) is named.
+        with pytest.raises(
+            ValueError,
+            match=re.escape(f"cell (1, 0) = {shown} is not a nonnegative integer or INF"),
+        ):
+            CountMatrix(((0, INF), (bad, 0 if later_ok else -5)))
+        with pytest.raises(ValueError, match=re.escape(f"cell (1, 0) = {shown} is not 0 or 1")):
+            BinaryMatrix(((0, 1), (bad, 1 if later_ok else 2)))
+
+    def test_binary_names_first_out_of_range_cell(self):
+        with pytest.raises(ValueError, match=re.escape("cell (0, 1) = 2 is not 0 or 1")):
+            BinaryMatrix(((0, 2), (INF, 1)))
+        with pytest.raises(ValueError, match=re.escape("cell (0, 1) = INF is not 0 or 1")):
+            BinaryMatrix(((0, INF), (2, 1)))
+
+    def test_bad_cell_before_short_row_is_named_first(self):
+        with pytest.raises(ValueError, match=re.escape("cell (0, 1) = -1 is not")):
+            CountMatrix(((0, -1), (2,)))
+        with pytest.raises(ValueError, match=re.escape("row 1 has 1 cells, expected 3")):
+            CountMatrix(((0, 1, 0), (2,), (-1, 0, 0)))
+
+    @given(matrices(allow_inf=True))
+    def test_has_inf_recorded(self, m):
+        assert m.has_inf == any(v is INF for row in m.cells for v in row)
+        assert not binarize(m).has_inf
 
 
 class TestInfOrdering:
@@ -269,3 +306,45 @@ class TestBinaryIdempotence:
     def test_binary_self_product_is_fixed_point(self, m):
         b = binarize(m)
         assert hadamard(b, b) == b
+
+
+def _outcome(op, *args):
+    try:
+        m = op(*args)
+    except NetmatError as e:
+        return type(e), str(e)
+    return type(m), m.cells, m.has_inf
+
+
+class TestMatchesPerCellReference:
+    """Whole-row paths give the per-cell result, or its exception and message."""
+
+    @given(matrix_pairs(allow_inf=True, max_val=3))
+    def test_hadamard(self, pair):
+        x, y = pair
+        assert _outcome(hadamard, x, y) == _outcome(hadamard_cells, x, y)
+
+    @given(matrix_pairs(binary=True))
+    def test_hadamard_binary(self, pair):
+        x, y = pair
+        assert _outcome(hadamard, x, y) == _outcome(hadamard_cells, x, y)
+
+    @given(matrix_pairs(allow_inf=True, max_val=3))
+    def test_ew_add(self, pair):
+        x, y = pair
+        assert _outcome(ew_add, x, y) == _outcome(ew_add_cells, x, y)
+
+    @given(st.booleans().flatmap(lambda inf: matrix_pairs(allow_inf=inf, max_val=3)))
+    def test_ew_sub(self, pair):
+        x, y = pair
+        assert _outcome(ew_sub, x, y) == _outcome(ew_sub_cells, x, y)
+
+    @given(matrices(allow_inf=True))
+    def test_binarize(self, m):
+        assert _outcome(binarize, m) == _outcome(binarize_cells, m)
+
+    def test_sub_names_first_negative_cell(self):
+        x = CountMatrix(((3, 1), (0, 4)))
+        y = CountMatrix(((1, 2), (1, 0)))
+        with pytest.raises(NegativeResult, match=re.escape("1 - 2 at cell (0, 1)")):
+            ew_sub(x, y)

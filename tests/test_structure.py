@@ -22,7 +22,7 @@ from netmat import (
     mutually_exclusive,
 )
 
-from oracles import bfs_distance_matrix
+from oracles import floyd_warshall_distance_matrix
 
 
 class TestGraph:
@@ -105,12 +105,12 @@ class TestDistance:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
-    def test_matches_bfs_oracle(self, seed):
+    def test_matches_floyd_warshall_oracle(self, seed):
         rng = random.Random(seed)
         n = rng.randint(1, 12)
         g = gen_digraph(GenConfig(n=n, edge_prob=rng.random(), max_traj=0, max_len=0, seed=seed))
         a = build_adjacency(g)
-        assert distance_matrix(a) == bfs_distance_matrix(a)
+        assert distance_matrix(a) == floyd_warshall_distance_matrix(a)
 
 
 class TestExternal:
@@ -169,7 +169,7 @@ class TestBundle:
         # Both routes to the binarized external matrix agree.
         assert binarize(ew_sub(s.P, s.A)) == ew_sub(s.Phat, s.A)
         # Reachability meaning of the binarized distance matrix.
-        oracle = bfs_distance_matrix(s.A)
+        oracle = floyd_warshall_distance_matrix(s.A)
         for i in range(n):
             for j in range(n):
                 reachable = oracle[i, j] is not INF and oracle[i, j] > 0
