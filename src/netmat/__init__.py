@@ -48,13 +48,8 @@ from .utilization import (
     Dataset,
     Trajectory,
     UtilizationBundle,
-    alternative_route_matrix,
     build_utilization,
-    flow_matrix,
-    indirect_flow_matrix,
     is_fully_utilized,
-    od_matrix,
-    substitute_route_matrix,
     validate_trajectory,
 )
 from .generators import (
@@ -122,11 +117,6 @@ __all__ = [
     "Dataset",
     "UtilizationBundle",
     "validate_trajectory",
-    "flow_matrix",
-    "od_matrix",
-    "indirect_flow_matrix",
-    "alternative_route_matrix",
-    "substitute_route_matrix",
     "build_utilization",
     "is_fully_utilized",
     # generators

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .errors import ParseError, TrajectoryError
 from .matrices import INF, CountMatrix
-from .structure import Graph
+from .structure import Graph, check_labels
 from .utilization import Trajectory, validate_trajectory
 
 __all__ = [
@@ -145,18 +145,14 @@ def load_trajectories(path: str | Path, graph: Graph) -> tuple[Trajectory, ...]:
     )
 
 
-def _cell_token(v) -> str:
-    return "INF" if v is INF else str(v)
-
-
 def matrix_to_csv(m: CountMatrix, labels: tuple[str, ...]) -> str:
     if len(labels) != m.n:
         raise ValueError(f"{len(labels)} labels for a {m.n}x{m.n} matrix")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(labels))
-    for label, row in zip(labels, m.cells):
-        writer.writerow([label] + [_cell_token(v) for v in row])
+    # csv applies str() to every cell, which spells INF as "INF".
+    writer.writerow(["", *labels])
+    writer.writerows([label, *row] for label, row in zip(labels, m.cells))
     return buf.getvalue()
 
 
@@ -173,6 +169,13 @@ def _parse_cell(token: str, source: str, line_no: int):
     return value
 
 
+def _check_matrix_labels(labels, source: str, line_no: int | None = None) -> None:
+    try:
+        check_labels(labels)
+    except ValueError as e:
+        raise ParseError(str(e), source, line_no) from e
+
+
 def matrix_from_csv(
     text: str, source: str = "<matrix>"
 ) -> tuple[CountMatrix, tuple[str, ...]]:
@@ -186,6 +189,7 @@ def matrix_from_csv(
     n = len(labels)
     if n == 0:
         raise ParseError("matrix header declares no labels", source, 1)
+    _check_matrix_labels(labels, source, 1)
     if len(rows) - 1 != n:
         raise ParseError(f"expected {n} data rows, found {len(rows) - 1}", source)
     cells = []
@@ -223,10 +227,16 @@ def matrix_from_json_obj(
 ) -> tuple[CountMatrix, tuple[str, ...]]:
     try:
         n = obj["n"]
-        labels = tuple(obj["labels"])
+        labels = obj["labels"]
         raw = obj["cells"]
     except (KeyError, TypeError) as e:
         raise ParseError(f"matrix JSON missing field: {e}", source) from e
+    if type(n) is not int:
+        raise ParseError(f"matrix JSON n must be an integer, got {n!r}", source)
+    if not isinstance(labels, (list, tuple)):
+        raise ParseError(f"matrix JSON labels must be a list, got {labels!r}", source)
+    labels = tuple(labels)
+    _check_matrix_labels(labels, source)
     if not isinstance(raw, (list, tuple)):
         raise ParseError("matrix JSON cells must be a list of rows", source)
     if len(labels) != n or len(raw) != n:

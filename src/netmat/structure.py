@@ -24,6 +24,17 @@ __all__ = [
 ]
 
 
+def check_labels(labels: tuple[str, ...]) -> None:
+    """Raise ValueError unless labels are nonempty, whitespace-free, unique strings."""
+    seen = set()
+    for lbl in labels:
+        if not isinstance(lbl, str) or not lbl or any(c.isspace() for c in lbl):
+            raise ValueError(f"label {lbl!r} must be a nonempty whitespace-free token")
+        if lbl in seen:
+            raise ValueError(f"duplicate node label {lbl!r}")
+        seen.add(lbl)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Directed graph over labelled nodes; edges are (source, sink) index pairs."""
@@ -39,13 +50,7 @@ class Graph:
         n = len(labels)
         if n < 1:
             raise ValueError("graph needs at least one node")
-        seen = set()
-        for lbl in labels:
-            if not lbl or any(c.isspace() for c in lbl):
-                raise ValueError(f"label {lbl!r} must be a nonempty whitespace-free token")
-            if lbl in seen:
-                raise ValueError(f"duplicate node label {lbl!r}")
-            seen.add(lbl)
+        check_labels(labels)
         for i, j in edges:
             if not (isinstance(i, int) and isinstance(j, int)):
                 raise ValueError(f"edge {(i, j)!r} must be a pair of node indices")

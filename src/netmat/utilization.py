@@ -10,13 +10,21 @@ node pair (i, j) with i strictly before j:
     T   the L pairs where the graph does offer a direct edge (unused here)
     Tc  the L pairs where no direct edge exists at all
 
-The five count matrices are built by direct counting; construction then
-cross-checks them against their algebraic reconstructions and refuses to
-return a bundle that violates one.
+The five count matrices are counted in one backward walk per trajectory
+over packed rows: each matrix row is one Python int holding a w-bit field
+per column, and each trajectory position adds whole bitmasks of the nodes
+after it.  w is the smallest of 8, 16, 32 and 64 bits that holds the number
+of trajectories.  A trajectory never repeats a node, so it adds at most 1 to
+any cell, no cell exceeds the trajectory count and no field carries into
+its neighbour.  Construction then cross-checks the unpacked matrices
+against their algebraic reconstructions and refuses to return a bundle that
+violates one.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .errors import (
@@ -34,11 +42,6 @@ __all__ = [
     "Dataset",
     "UtilizationBundle",
     "validate_trajectory",
-    "flow_matrix",
-    "od_matrix",
-    "indirect_flow_matrix",
-    "alternative_route_matrix",
-    "substitute_route_matrix",
     "build_utilization",
     "is_fully_utilized",
 ]
@@ -64,11 +67,13 @@ class Trajectory:
 
 def validate_trajectory(t: Trajectory, g: Graph) -> None:
     """Check a trajectory against a graph; raises on the first violation."""
+    n = g.n
     for v in t.nodes:
-        if not 0 <= v < g.n:
-            raise TrajectoryError(f"node index {v} not in graph with {g.n} nodes")
+        if not 0 <= v < n:
+            raise TrajectoryError(f"node index {v} not in graph with {n} nodes")
+    edges = g.edges
     for i, j in zip(t.nodes, t.nodes[1:]):
-        if (i, j) not in g.edges:
+        if (i, j) not in edges:
             raise MissingEdge(g.labels[i], g.labels[j])
 
 
@@ -102,100 +107,55 @@ class UtilizationBundle:
     Tchat: BinaryMatrix
 
 
-def _grid(n: int) -> list[list[int]]:
-    return [[0] * n for _ in range(n)]
+# array typecode of each unsigned field width in bytes, chosen by itemsize
+# because the letters map to different sizes on different platforms.
+_TYPECODES = {array(c).itemsize: c for c in "QLIH"}
 
 
-def _freeze(grid: list[list[int]]) -> CountMatrix:
-    return CountMatrix(tuple(tuple(row) for row in grid))
-
-
-def flow_matrix(d: Dataset) -> CountMatrix:
-    """f(i, j) = number of trajectories traversing the edge (i, j)."""
-    f = _grid(d.graph.n)
-    for t in d.trajectories:
-        for i, j in zip(t.nodes, t.nodes[1:]):
-            f[i][j] += 1
-    return _freeze(f)
-
-
-def od_matrix(d: Dataset) -> CountMatrix:
-    """d(i, j) = number of trajectories visiting i strictly before j."""
-    m = _grid(d.graph.n)
-    for t in d.trajectories:
-        nodes = t.nodes
-        for p in range(len(nodes)):
-            row = m[nodes[p]]
-            for q in range(p + 1, len(nodes)):
-                row[nodes[q]] += 1
-    return _freeze(m)
-
-
-def indirect_flow_matrix(d: Dataset) -> CountMatrix:
-    """l(i, j) = trajectories connecting i to j with >= 1 node in between."""
-    m = _grid(d.graph.n)
-    for t in d.trajectories:
-        nodes = t.nodes
-        for p in range(len(nodes)):
-            row = m[nodes[p]]
-            for q in range(p + 2, len(nodes)):
-                row[nodes[q]] += 1
-    return _freeze(m)
-
-
-def alternative_route_matrix(d: Dataset, s: StructureBundle) -> CountMatrix:
-    """Indirect flows between pairs that do have a direct edge (left unused)."""
-    m = _grid(d.graph.n)
-    a = s.A.cells
-    for t in d.trajectories:
-        nodes = t.nodes
-        for p in range(len(nodes)):
-            i = nodes[p]
-            for q in range(p + 2, len(nodes)):
-                j = nodes[q]
-                if a[i][j]:
-                    m[i][j] += 1
-    return _freeze(m)
-
-
-def substitute_route_matrix(d: Dataset, s: StructureBundle) -> CountMatrix:
-    """Indirect flows between pairs with no direct edge at all."""
-    m = _grid(d.graph.n)
-    a = s.A.cells
-    for t in d.trajectories:
-        nodes = t.nodes
-        for p in range(len(nodes)):
-            i = nodes[p]
-            for q in range(p + 2, len(nodes)):
-                j = nodes[q]
-                if not a[i][j]:
-                    m[i][j] += 1
-    return _freeze(m)
+def _unpack(rows: list[int], n: int, w: int) -> CountMatrix:
+    size = n * w // 8
+    if w == 8:
+        # One byte per field: the little-endian bytes are the row's cells.
+        return CountMatrix(tuple(r.to_bytes(size, "little") for r in rows))
+    # In native byte order memoryview reads each field as one item; on a
+    # big-endian host the bytes list the last column first.
+    code = _TYPECODES[w // 8]
+    cells = tuple(
+        memoryview(r.to_bytes(size, sys.byteorder)).cast(code).tolist() for r in rows
+    )
+    if sys.byteorder == "big":
+        cells = tuple(row[::-1] for row in cells)
+    return CountMatrix(cells)
 
 
 def _count_all(d: Dataset) -> tuple[CountMatrix, ...]:
-    # Single pass over all ordered pairs of every trajectory; the direct /
-    # indirect split uses the dataset's own edge set.
+    # Column j of a packed row is the field at bit w*j (module docstring).
+    # The direct / indirect split uses the dataset's own edge set.
     n = d.graph.n
-    edges = d.graph.edges
-    f, dd, l, t, tc = (_grid(n) for _ in range(5))
+    w = 8
+    while len(d.trajectories) >> w:
+        w *= 2
+    bit = [1 << (w * j) for j in range(n)]
+    adj = [0] * n
+    for i, j in d.graph.edges:
+        adj[i] |= bit[j]
+    f, dd, l, t, tc = ([0] * n for _ in range(5))
     for traj in d.trajectories:
         nodes = traj.nodes
-        k = len(nodes)
-        for p in range(k):
-            i = nodes[p]
-            for q in range(p + 1, k):
-                j = nodes[q]
-                dd[i][j] += 1
-                if q == p + 1:
-                    f[i][j] += 1
-                elif (i, j) in edges:
-                    l[i][j] += 1
-                    t[i][j] += 1
-                else:
-                    l[i][j] += 1
-                    tc[i][j] += 1
-    return tuple(_freeze(g) for g in (f, dd, l, t, tc))
+        # Walking backwards, nb is the bit of the node right after i and
+        # after the mask of the nodes at least two steps after i.
+        nb = bit[nodes[-1]]
+        after = 0
+        for i in reversed(nodes[:-1]):
+            f[i] += nb
+            l[i] += after
+            ta = after & adj[i]
+            t[i] += ta
+            tc[i] += after ^ ta
+            dd[i] += after | nb
+            after |= nb
+            nb = bit[i]
+    return tuple(_unpack(rows, n, w) for rows in (f, dd, l, t, tc))
 
 
 def _cross_check(name: str, counted: CountMatrix, derived: CountMatrix) -> None:
@@ -220,7 +180,8 @@ def build_utilization(d: Dataset, s: StructureBundle) -> UtilizationBundle:
     _cross_check("T = A o L", t, hadamard(s.A, l))
     _cross_check("Tc = Ehat o D", tc, hadamard(s.Ehat, dd))
     _cross_check("L = T + Tc", l, ew_add(t, tc))
-    _cross_check("D = F + T + Tc", dd, ew_add(f, ew_add(t, tc)))
+    # L has just matched T + Tc cell for cell, so F + L is F + T + Tc.
+    _cross_check("D = F + T + Tc", dd, ew_add(f, l))
     return UtilizationBundle(
         F=f,
         D=dd,

@@ -4,8 +4,10 @@ from netmat import (
     INF,
     BinaryMatrix,
     CountMatrix,
+    Dataset,
     InfiniteOperand,
     NegativeResult,
+    StructureBundle,
     UndefinedProduct,
 )
 
@@ -91,3 +93,78 @@ def ew_sub_cells(x: CountMatrix, y: CountMatrix) -> CountMatrix:
                 row.append(a - b)
         rows.append(tuple(row))
     return CountMatrix(tuple(rows))
+
+
+# Per-pair references for the utilization counts: each visits every ordered
+# node pair of every trajectory, one matrix at a time.
+
+
+def _grid(n: int) -> list[list[int]]:
+    return [[0] * n for _ in range(n)]
+
+
+def _freeze(grid: list[list[int]]) -> CountMatrix:
+    return CountMatrix(tuple(tuple(row) for row in grid))
+
+
+def flow_matrix(d: Dataset) -> CountMatrix:
+    """f(i, j) = number of trajectories traversing the edge (i, j)."""
+    f = _grid(d.graph.n)
+    for t in d.trajectories:
+        for i, j in zip(t.nodes, t.nodes[1:]):
+            f[i][j] += 1
+    return _freeze(f)
+
+
+def od_matrix(d: Dataset) -> CountMatrix:
+    """d(i, j) = number of trajectories visiting i strictly before j."""
+    m = _grid(d.graph.n)
+    for t in d.trajectories:
+        nodes = t.nodes
+        for p in range(len(nodes)):
+            row = m[nodes[p]]
+            for q in range(p + 1, len(nodes)):
+                row[nodes[q]] += 1
+    return _freeze(m)
+
+
+def indirect_flow_matrix(d: Dataset) -> CountMatrix:
+    """l(i, j) = trajectories connecting i to j with >= 1 node in between."""
+    m = _grid(d.graph.n)
+    for t in d.trajectories:
+        nodes = t.nodes
+        for p in range(len(nodes)):
+            row = m[nodes[p]]
+            for q in range(p + 2, len(nodes)):
+                row[nodes[q]] += 1
+    return _freeze(m)
+
+
+def alternative_route_matrix(d: Dataset, s: StructureBundle) -> CountMatrix:
+    """Indirect flows between pairs that do have a direct edge (left unused)."""
+    m = _grid(d.graph.n)
+    a = s.A.cells
+    for t in d.trajectories:
+        nodes = t.nodes
+        for p in range(len(nodes)):
+            i = nodes[p]
+            for q in range(p + 2, len(nodes)):
+                j = nodes[q]
+                if a[i][j]:
+                    m[i][j] += 1
+    return _freeze(m)
+
+
+def substitute_route_matrix(d: Dataset, s: StructureBundle) -> CountMatrix:
+    """Indirect flows between pairs with no direct edge at all."""
+    m = _grid(d.graph.n)
+    a = s.A.cells
+    for t in d.trajectories:
+        nodes = t.nodes
+        for p in range(len(nodes)):
+            i = nodes[p]
+            for q in range(p + 2, len(nodes)):
+                j = nodes[q]
+                if not a[i][j]:
+                    m[i][j] += 1
+    return _freeze(m)

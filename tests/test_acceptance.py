@@ -19,20 +19,22 @@ from netmat import (
     build_structure,
     build_utilization,
     evaluate_identity,
-    alternative_route_matrix,
     ew_add,
     gen_digraph,
     gen_fully_utilized,
     get_identity,
     hadamard,
-    substitute_route_matrix,
     sweep_configs,
     gen_dataset,
 )
 from netmat.cli import main
 from netmat.fileio import matrix_from_csv
 
-from oracles import floyd_warshall_distance_matrix
+from oracles import (
+    alternative_route_matrix,
+    floyd_warshall_distance_matrix,
+    substitute_route_matrix,
+)
 
 GRAPH_TEXT = "nodes: A B C D\nA B\nB C\nB D\nC D\n"
 TRAJ_TEXT = "A B C D\n"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -128,6 +129,10 @@ class TestMatrixCsv:
         with pytest.raises(ParseError):
             matrix_from_csv(text)
 
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ParseError, match="duplicate node label 'a'"):
+            matrix_from_csv(",a,a\na,0,0\na,0,0\n")
+
 
 class TestMatrixJson:
     def test_round_trip_with_null_for_inf(self):
@@ -156,6 +161,23 @@ class TestMatrixJson:
     def test_cells_that_are_not_a_list_rejected(self):
         with pytest.raises(ParseError, match="cells must be a list of rows"):
             matrix_from_json_obj({"n": 1, "labels": ["a"], "cells": 5})
+
+    @pytest.mark.parametrize(
+        "n, labels, message",
+        [
+            (2, "ab", "labels must be a list, got 'ab'"),
+            (1, 5, "labels must be a list, got 5"),
+            (True, ["a"], "n must be an integer, got True"),
+            (1.0, ["a"], "n must be an integer, got 1.0"),
+            (1, [1], "label 1 must be a nonempty whitespace-free token"),
+            (2, ["a", "a"], "duplicate node label 'a'"),
+        ],
+    )
+    def test_bad_n_or_labels_rejected(self, n, labels, message):
+        # Each object is valid apart from n or labels.
+        obj = {"n": n, "labels": labels, "cells": [[0] * int(n)] * int(n)}
+        with pytest.raises(ParseError, match=re.escape(message)):
+            matrix_from_json_obj(obj)
 
     def test_invalid_json_rejected(self):
         with pytest.raises(ParseError):

@@ -15,21 +15,24 @@ from netmat import (
     RepeatedNode,
     TooShort,
     Trajectory,
-    alternative_route_matrix,
     build_structure,
     build_utilization,
     ew_add,
     ew_leq,
-    flow_matrix,
     gen_dataset,
     hadamard,
-    indirect_flow_matrix,
     is_fully_utilized,
     is_zero,
     mutually_exclusive,
+    validate_trajectory,
+)
+
+from oracles import (
+    alternative_route_matrix,
+    flow_matrix,
+    indirect_flow_matrix,
     od_matrix,
     substitute_route_matrix,
-    validate_trajectory,
 )
 
 
@@ -221,6 +224,18 @@ class TestBundle:
         assert alternative_route_matrix(d, s) == hadamard(s.A, indirect_flow_matrix(d))
         assert substitute_route_matrix(d, s) == hadamard(s.Ehat, od_matrix(d))
 
+    @settings(max_examples=50, deadline=None)
+    @given(seeds)
+    def test_counts_match_per_pair_oracles(self, seed):
+        d = dataset_from_seed(seed)
+        s = build_structure(d.graph)
+        u = build_utilization(d, s)
+        assert u.F == flow_matrix(d)
+        assert u.D == od_matrix(d)
+        assert u.L == indirect_flow_matrix(d)
+        assert u.T == alternative_route_matrix(d, s)
+        assert u.Tc == substitute_route_matrix(d, s)
+
     @settings(max_examples=40, deadline=None)
     @given(seeds)
     def test_per_trajectory_additivity(self, seed):
@@ -244,6 +259,37 @@ class TestBundle:
         u = build_utilization(d, s)
         for m in (u.F, u.D, u.L, u.T, u.Tc):
             assert all(m[i, i] == 0 for i in range(d.graph.n))
+
+
+def _matrix(n, counts):
+    return CountMatrix(
+        tuple(tuple(counts.get((i, j), 0) for j in range(n)) for i in range(n))
+    )
+
+
+class TestFieldWidth:
+    # Counts are packed into 8-, 16-, 32- or 64-bit fields sized by the
+    # number of trajectories; each count sits at the top of one width or
+    # just past it, with a zero column on either side to catch a carry.
+    chain4 = Graph(("A", "B", "C", "D"), frozenset({(0, 1), (1, 2), (2, 3)}))
+
+    @pytest.mark.parametrize("copies", [255, 256])
+    def test_three_node_path(self, copies):
+        d = Dataset(self.chain4, (Trajectory((0, 1, 2)),) * copies)
+        u = build_utilization(d, build_structure(self.chain4))
+        c = copies
+        assert u.F == _matrix(4, {(0, 1): c, (1, 2): c})
+        assert u.D == _matrix(4, {(0, 1): c, (0, 2): c, (1, 2): c})
+        assert u.L == _matrix(4, {(0, 2): c})
+        assert u.T == _matrix(4, {})
+        assert u.Tc == _matrix(4, {(0, 2): c})
+
+    @pytest.mark.parametrize("copies", [65535, 65536])
+    def test_two_node_path(self, copies):
+        d = Dataset(self.chain4, (Trajectory((1, 2)),) * copies)
+        u = build_utilization(d, build_structure(self.chain4))
+        assert u.F == u.D == _matrix(4, {(1, 2): copies})
+        assert u.L == u.T == u.Tc == _matrix(4, {})
 
 
 class TestFullyUtilized:
