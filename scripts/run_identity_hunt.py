@@ -9,13 +9,8 @@ import argparse
 import sys
 import time
 
-from netmat import (
-    build_structure,
-    build_utilization,
-    evaluate_identity,
-    list_identities,
-    search_counterexample,
-)
+from netmat import list_identities, search_counterexample
+from netmat.identities import evaluate_on_dataset
 
 
 def main() -> int:
@@ -45,12 +40,9 @@ def main() -> int:
         if found is None:
             outcome = f"survived {args.budget} instances ({elapsed:.2f}s)"
         else:
-            s = build_structure(found.graph)
-            u = build_utilization(found, s)
-            w = evaluate_identity(spec, s, u).witness
-            labels = found.graph.labels
+            witness = evaluate_on_dataset(spec, found).witness
             outcome = (
-                f"FALSIFIED at ({labels[w.row]}, {labels[w.col]}) lhs={w.lhs!r} rhs={w.rhs!r} "
+                f"FALSIFIED at {witness.describe(found.graph.labels)} "
                 f"with {len(found.trajectories)} trajectories ({elapsed:.2f}s)"
             )
         print(f"{spec.id:<18}{spec.kind.value:<21}{outcome}")

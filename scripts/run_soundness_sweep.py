@@ -2,7 +2,9 @@
 """Audit the identity catalogue across a stream of seeded random datasets.
 
 Prints per-class verdict tallies and exits 1 if any relation expected to
-hold universally (UNIVERSAL or MUTUAL_EXCLUSIVITY) ever fails.
+hold universally (UNIVERSAL or MUTUAL_EXCLUSIVITY) ever fails.  For the
+first failure of each identity it prints the witness and a ``netmat gen``
+command that regenerates the failing dataset.
 """
 
 import argparse
@@ -10,7 +12,16 @@ import sys
 import time
 from collections import Counter
 
-from netmat import IdentityClass, audit_dataset, gen_dataset, get_identity, sweep_configs
+from netmat import GenConfig, IdentityClass, audit_dataset, gen_dataset, sweep_configs
+
+
+def replay_command(cfg: GenConfig) -> str:
+    """The ``netmat gen`` command that writes the dataset gen_dataset(cfg) builds."""
+    duplicates = "--allow-duplicates" if cfg.allow_duplicates else "--no-allow-duplicates"
+    return (
+        f"netmat gen --n {cfg.n} --edge-prob {cfg.edge_prob!r} --max-traj {cfg.max_traj} "
+        f"--max-len {cfg.max_len} {duplicates} --seed {cfg.seed}"
+    )
 
 
 def main() -> int:
@@ -32,13 +43,15 @@ def main() -> int:
         sweep_configs(args.count, base_seed=args.seed, max_n=args.max_n, max_traj=args.max_traj)
     ):
         report = audit_dataset(gen_dataset(cfg))
+        labels = report.descriptor["labels"]
         for verdict in report.verdicts:
-            kind = get_identity(verdict.id).kind
+            kind = verdict.identity().kind
             if verdict.holds:
                 holds[kind.value] += 1
             else:
                 fails[kind.value] += 1
-                first_failure.setdefault(verdict.id, (i, cfg.seed, verdict.witness))
+                if verdict.id not in first_failure:
+                    first_failure[verdict.id] = (i, cfg, verdict.witness.describe(labels))
                 if kind in gated:
                     violations += 1
     elapsed = time.perf_counter() - start
@@ -48,9 +61,10 @@ def main() -> int:
     for kind in IdentityClass:
         print(f"{kind.value:<22}{holds[kind.value]:>10}{fails[kind.value]:>10}")
     if first_failure:
-        print("\nfirst failure per identity (dataset index, config seed, witness):")
-        for ident, (idx, seed, witness) in sorted(first_failure.items()):
-            print(f"  {ident}: dataset #{idx} seed {seed} witness {witness}")
+        print("\nfirst failure per identity (dataset index, config seed, witness, replay):")
+        for ident, (idx, cfg, witness) in sorted(first_failure.items()):
+            print(f"  {ident}: dataset #{idx} seed {cfg.seed} witness {witness}")
+            print(f"    replay: {replay_command(cfg)}")
     if violations:
         print(f"\nSOUNDNESS VIOLATED: {violations} universal/mutual-exclusivity failures")
         return 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -25,10 +26,9 @@ from .fileio import (
     trajectories_to_text,
 )
 from .generators import GenConfig, gen_dataset, gen_fully_utilized
-from .matrices import INF
 from .identities import (
     audit_dataset,
-    evaluate_identity,
+    evaluate_on_dataset,
     get_identity,
     render_table,
     report_to_json_obj,
@@ -37,7 +37,7 @@ from .identities import (
 from .structure import build_structure
 from .utilization import Dataset, build_utilization, is_fully_utilized
 
-_GEN_FIELDS = ("n", "edge_prob", "max_traj", "max_len", "allow_duplicates", "seed")
+_GEN_FIELDS = tuple(f.name for f in fields(GenConfig))
 _GEN_DEFAULTS = {
     "n": 6,
     "edge_prob": 0.3,
@@ -83,23 +83,7 @@ def _cmd_compute(args) -> int:
     dataset = _load_dataset(args)
     s = build_structure(dataset.graph)
     u = build_utilization(dataset, s)
-    matrices = {
-        "A": s.A,
-        "P": s.P,
-        "Phat": s.Phat,
-        "E": s.E,
-        "Ehat": s.Ehat,
-        "F": u.F,
-        "D": u.D,
-        "L": u.L,
-        "T": u.T,
-        "Tc": u.Tc,
-        "Fhat": u.Fhat,
-        "Dhat": u.Dhat,
-        "Lhat": u.Lhat,
-        "That": u.That,
-        "Tchat": u.Tchat,
-    }
+    matrices = {**vars(s), **vars(u)}
     summary = {
         "n": dataset.graph.n,
         "edge_count": len(dataset.graph.edges),
@@ -173,9 +157,7 @@ def _cmd_gen(args) -> int:
         "trajectories.txt": trajectories_to_text(
             dataset.trajectories, dataset.graph.labels
         ),
-        "gen_config.json": _json_text(
-            {field: getattr(cfg, field) for field in _GEN_FIELDS}
-        ),
+        "gen_config.json": _json_text(asdict(cfg)),
     }
     manifest = _manifest(args, "gen", [])
     manifest["seed"] = cfg.seed
@@ -208,27 +190,12 @@ def _cmd_hunt(args) -> int:
     payloads: dict[str, str] = {}
     message = f"no counterexample found for {spec.id} within {args.budget} instances"
     if found is not None:
-        s = build_structure(found.graph)
-        u = build_utilization(found, s)
-        verdict = evaluate_identity(spec, s, u)
-        w = verdict.witness
+        witness = evaluate_on_dataset(spec, found).witness
         labels = found.graph.labels
-        report["witness"] = {
-            "row": w.row,
-            "col": w.col,
-            "row_label": labels[w.row],
-            "col_label": labels[w.col],
-            "lhs": None if w.lhs is INF else w.lhs,
-            "rhs": None if w.rhs is INF else w.rhs,
-        }
+        report["witness"] = witness.to_json_obj(labels)
         payloads["graph.txt"] = graph_to_text(found.graph)
-        payloads["trajectories.txt"] = trajectories_to_text(
-            found.trajectories, found.graph.labels
-        )
-        message = (
-            f"counterexample found for {spec.id} at cell "
-            f"({labels[w.row]}, {labels[w.col]}): lhs={w.lhs!r} rhs={w.rhs!r}"
-        )
+        payloads["trajectories.txt"] = trajectories_to_text(found.trajectories, labels)
+        message = f"counterexample found for {spec.id} at cell {witness.describe(labels)}"
     payloads["hunt_report.json"] = _json_text(report)
     manifest = _manifest(args, "hunt", [])
     manifest["seed"] = seed
@@ -314,13 +281,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NetmatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (NetmatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

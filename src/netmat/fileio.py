@@ -37,6 +37,7 @@ __all__ = [
     "load_trajectories",
     "matrix_to_csv",
     "matrix_from_csv",
+    "cell_to_json",
     "matrix_to_json_obj",
     "matrix_from_json_obj",
 ]
@@ -212,13 +213,18 @@ def matrix_from_csv(
         raise ParseError(str(e), source) from e
 
 
+def cell_to_json(v):
+    """JSON form of one cell: the count, or null for INF."""
+    return None if v is INF else v
+
+
 def matrix_to_json_obj(m: CountMatrix, labels: tuple[str, ...]) -> dict:
     if len(labels) != m.n:
         raise ValueError(f"{len(labels)} labels for a {m.n}x{m.n} matrix")
     return {
         "n": m.n,
         "labels": list(labels),
-        "cells": [[None if v is INF else v for v in row] for row in m.cells],
+        "cells": [list(map(cell_to_json, row)) for row in m.cells],
     }
 
 

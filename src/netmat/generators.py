@@ -105,24 +105,29 @@ def gen_trajectory(g: Graph, max_len: int, seed: int) -> Trajectory | None:
     return _random_path(succ, starts, min(max_len, g.n), random.Random(seed))
 
 
-def gen_dataset(cfg: GenConfig) -> Dataset:
-    """Random graph plus up to max_traj random trajectories."""
-    g = gen_digraph(cfg)
+def _with_random_paths(
+    g: Graph, cfg: GenConfig, salt: int, trajectories: list[Trajectory]
+) -> Dataset:
+    # Append up to max_traj random paths drawn from a stream salted apart
+    # from the graph's; without allow_duplicates a path already present is
+    # skipped, its draw still consumed.
     succ = g.successors()
     starts = sorted(succ)
-    rng = random.Random(_mix(cfg.seed, 0x7472616A))
+    rng = random.Random(_mix(cfg.seed, salt))
     wanted = rng.randint(0, cfg.max_traj) if cfg.max_traj else 0
-    out: list[Trajectory] = []
-    seen: set[tuple[int, ...]] = set()
+    seen = {t.nodes for t in trajectories}
     for _ in range(wanted):
         t = _random_path(succ, starts, cfg.max_len, rng)
-        if t is None:
-            continue
-        if not cfg.allow_duplicates and t.nodes in seen:
+        if t is None or (not cfg.allow_duplicates and t.nodes in seen):
             continue
         seen.add(t.nodes)
-        out.append(t)
-    return Dataset(g, tuple(out))
+        trajectories.append(t)
+    return Dataset(g, tuple(trajectories))
+
+
+def gen_dataset(cfg: GenConfig) -> Dataset:
+    """Random graph plus up to max_traj random trajectories."""
+    return _with_random_paths(gen_digraph(cfg), cfg, 0x7472616A, [])
 
 
 def _shortest_path_cover(g: Graph) -> list[Trajectory]:
@@ -159,22 +164,8 @@ def gen_fully_utilized(cfg: GenConfig) -> Dataset:
     the pair cover makes the OD binarization equal the reachability matrix.
     """
     g = gen_digraph(cfg)
-    trajectories: list[Trajectory] = [Trajectory(e) for e in sorted(g.edges)]
-    trajectories.extend(_shortest_path_cover(g))
-    seen = {t.nodes for t in trajectories}
-    succ = g.successors()
-    starts = sorted(succ)
-    rng = random.Random(_mix(cfg.seed, 0x66756C6C))
-    extras = rng.randint(0, cfg.max_traj) if cfg.max_traj else 0
-    for _ in range(extras):
-        t = _random_path(succ, starts, cfg.max_len, rng)
-        if t is None:
-            continue
-        if not cfg.allow_duplicates and t.nodes in seen:
-            continue
-        seen.add(t.nodes)
-        trajectories.append(t)
-    return Dataset(g, tuple(trajectories))
+    cover = [Trajectory(e) for e in sorted(g.edges)] + _shortest_path_cover(g)
+    return _with_random_paths(g, cfg, 0x66756C6C, cover)
 
 
 def sweep_configs(

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .errors import UndefinedProduct, UnknownIdentity
+from .errors import ParseError, UndefinedProduct, UnknownIdentity
+from .fileio import cell_to_json
 from .generators import GenConfig, gen_dataset
-from .matrices import INF, CountMatrix, ew_add, ew_sub, hadamard
+from .matrices import CountMatrix, ew_add, ew_sub, hadamard
 from .structure import Graph, StructureBundle, build_structure
 from .utilization import Dataset, UtilizationBundle, build_utilization, is_fully_utilized
 
@@ -44,6 +45,7 @@ __all__ = [
     "list_identities",
     "get_identity",
     "evaluate_identity",
+    "evaluate_on_dataset",
     "audit_dataset",
     "search_counterexample",
     "catalogue_to_json",
@@ -60,25 +62,6 @@ class IdentityClass(str, Enum):
     CLAIMED_AUDIT = "CLAIMED_AUDIT"
     NEGATIVE = "NEGATIVE"
 
-
-SYMBOLS = (
-    "A",
-    "P",
-    "Phat",
-    "E",
-    "Ehat",
-    "F",
-    "D",
-    "L",
-    "T",
-    "Tc",
-    "Fhat",
-    "Dhat",
-    "Lhat",
-    "That",
-    "Tchat",
-    "0",
-)
 
 _OPS = ("had", "add", "sub")
 
@@ -100,6 +83,8 @@ _GLYPH = {
     "Tchat": "T̂ᶜ",
     "0": "0",
 }
+
+SYMBOLS = tuple(_GLYPH)
 
 _OP_GLYPH = {"had": "∘", "add": "+", "sub": "-"}
 _REL_GLYPH = {"eq": "=", "leq": "≤"}
@@ -142,6 +127,27 @@ class Witness:
     col: int
     lhs: object
     rhs: object
+
+    def _labels(self, labels) -> tuple[str, str]:
+        # An index past the label list shows as the number itself.
+        return tuple(labels[k] if k < len(labels) else str(k) for k in (self.row, self.col))
+
+    def to_json_obj(self, labels) -> dict:
+        """JSON-ready form: indices, node labels and both cells (INF as null)."""
+        row_label, col_label = self._labels(labels)
+        return {
+            "row": self.row,
+            "col": self.col,
+            "row_label": row_label,
+            "col_label": col_label,
+            "lhs": cell_to_json(self.lhs),
+            "rhs": cell_to_json(self.rhs),
+        }
+
+    def describe(self, labels) -> str:
+        """One-line form ``(row, col): lhs=... rhs=...`` with node labels."""
+        row_label, col_label = self._labels(labels)
+        return f"({row_label}, {col_label}): lhs={self.lhs!r} rhs={self.rhs!r}"
 
 
 @dataclass(frozen=True)
@@ -294,24 +300,8 @@ def _zero_matrix(n: int) -> CountMatrix:
 
 
 def _symbol_table(s: StructureBundle, u: UtilizationBundle) -> dict[str, CountMatrix]:
-    return {
-        "A": s.A,
-        "P": s.P,
-        "Phat": s.Phat,
-        "E": s.E,
-        "Ehat": s.Ehat,
-        "F": u.F,
-        "D": u.D,
-        "L": u.L,
-        "T": u.T,
-        "Tc": u.Tc,
-        "Fhat": u.Fhat,
-        "Dhat": u.Dhat,
-        "Lhat": u.Lhat,
-        "That": u.That,
-        "Tchat": u.Tchat,
-        "0": _zero_matrix(s.A.n),
-    }
+    # The bundles' fields are the matrix symbols, in _GLYPH order.
+    return {**vars(s), **vars(u), "0": _zero_matrix(s.A.n)}
 
 
 def _eval_expr(expr, env: dict[str, CountMatrix]) -> CountMatrix:
@@ -372,10 +362,10 @@ def audit_dataset(d: Dataset, *, name: str = "") -> AuditReport:
     return AuditReport(descriptor, verdicts, is_fully_utilized(u, s))
 
 
-def _falsifies(spec: IdentitySpec, d: Dataset) -> bool:
+def evaluate_on_dataset(spec: IdentitySpec, d: Dataset) -> IdentityVerdict:
+    """Build both bundles of a dataset and evaluate one relation on them."""
     s = build_structure(d.graph)
-    u = build_utilization(d, s)
-    return not evaluate_identity(spec, s, u).holds
+    return evaluate_identity(spec, s, build_utilization(d, s))
 
 
 def _shrink(spec: IdentitySpec, d: Dataset) -> Dataset:
@@ -389,7 +379,7 @@ def _shrink(spec: IdentitySpec, d: Dataset) -> Dataset:
         i = 0
         while i < len(trajs):
             candidate = Dataset(d.graph, tuple(trajs[:i] + trajs[i + 1 :]))
-            if _falsifies(spec, candidate):
+            if not evaluate_on_dataset(spec, candidate).holds:
                 del trajs[i]
                 d = candidate
                 changed = True
@@ -404,7 +394,7 @@ def _shrink(spec: IdentitySpec, d: Dataset) -> Dataset:
             candidate = Dataset(
                 Graph(d.graph.labels, d.graph.edges - {edge}), d.trajectories
             )
-            if _falsifies(spec, candidate):
+            if not evaluate_on_dataset(spec, candidate).holds:
                 d = candidate
                 changed = True
     return d
@@ -439,16 +429,9 @@ def search_counterexample(
             seed=rng.getrandbits(63),
         )
         candidate = gen_dataset(cfg)
-        if _falsifies(spec, candidate):
+        if not evaluate_on_dataset(spec, candidate).holds:
             return _shrink(spec, candidate)
     return None
-
-
-def _expr_to_obj(expr):
-    if isinstance(expr, str):
-        return expr
-    op, lhs, rhs = expr
-    return [op, _expr_to_obj(lhs), _expr_to_obj(rhs)]
 
 
 def _expr_from_obj(obj):
@@ -465,14 +448,15 @@ def _expr_from_obj(obj):
 
 
 def catalogue_to_json(indent: int = 2) -> str:
-    """Serialize the catalogue for external consumers."""
+    """Serialize the catalogue for external consumers; expression triples
+    become JSON arrays."""
     entries = [
         {
             "id": spec.id,
             "class": spec.kind.value,
             "relation": spec.relation,
-            "lhs": _expr_to_obj(spec.lhs),
-            "rhs": _expr_to_obj(spec.rhs),
+            "lhs": spec.lhs,
+            "rhs": spec.rhs,
             "group": spec.group,
             "quote": spec.statement(),
         }
@@ -481,31 +465,45 @@ def catalogue_to_json(indent: int = 2) -> str:
     return json.dumps(entries, indent=indent, ensure_ascii=False) + "\n"
 
 
+def _spec_from_obj(entry) -> IdentitySpec:
+    if not isinstance(entry, dict):
+        raise ValueError(f"expected an object, got {entry!r}")
+    for key in ("id", "class", "lhs", "rhs"):
+        if key not in entry:
+            raise ValueError(f"missing field {key!r}")
+    ident, group = entry["id"], entry.get("group", "")
+    for key, value in (("id", ident), ("group", group)):
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
+    relation = entry.get("relation", "eq")
+    if relation not in ("eq", "leq"):
+        raise ValueError(f"unknown relation {relation!r}")
+    try:
+        kind = IdentityClass(entry["class"])
+    except ValueError:
+        raise ValueError(f"unknown class {entry['class']!r}") from None
+    lhs = _expr_from_obj(entry["lhs"])
+    return IdentitySpec(ident, kind, relation, lhs, _expr_from_obj(entry["rhs"]), group)
+
+
 def specs_from_json(text: str) -> tuple[IdentitySpec, ...]:
-    """Parse identity specs serialized by catalogue_to_json."""
-    entries = json.loads(text)
+    """Parse identity specs serialized by catalogue_to_json.
+
+    Any malformed input raises ParseError, naming the entry at fault.
+    """
+    try:
+        entries = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"invalid catalogue JSON: {e}") from e
     if not isinstance(entries, list):
-        raise ValueError("catalogue JSON must be a list of entries")
+        raise ParseError("catalogue JSON must be a list of entries")
     specs = []
-    for entry in entries:
-        relation = entry.get("relation", "eq")
-        if relation not in ("eq", "leq"):
-            raise ValueError(f"unknown relation {relation!r}")
-        specs.append(
-            IdentitySpec(
-                id=entry["id"],
-                kind=IdentityClass(entry["class"]),
-                relation=relation,
-                lhs=_expr_from_obj(entry["lhs"]),
-                rhs=_expr_from_obj(entry["rhs"]),
-                group=entry.get("group", ""),
-            )
-        )
+    for i, entry in enumerate(entries):
+        try:
+            specs.append(_spec_from_obj(entry))
+        except (ValueError, RecursionError) as e:
+            raise ParseError(f"catalogue entry {i}: {e}") from e
     return tuple(specs)
-
-
-def _cell_obj(v):
-    return None if v is INF else v
 
 
 def report_to_json_obj(report: AuditReport) -> dict:
@@ -514,24 +512,13 @@ def report_to_json_obj(report: AuditReport) -> dict:
     verdicts = []
     for v in report.verdicts:
         spec = v.identity()
-        entry = {
+        verdicts.append({
             "id": v.id,
             "class": spec.kind.value,
             "statement": spec.statement(),
             "holds": v.holds,
-            "witness": None,
-        }
-        if v.witness is not None:
-            w = v.witness
-            entry["witness"] = {
-                "row": w.row,
-                "col": w.col,
-                "row_label": labels[w.row] if w.row < len(labels) else str(w.row),
-                "col_label": labels[w.col] if w.col < len(labels) else str(w.col),
-                "lhs": _cell_obj(w.lhs),
-                "rhs": _cell_obj(w.rhs),
-            }
-        verdicts.append(entry)
+            "witness": None if v.witness is None else v.witness.to_json_obj(labels),
+        })
     return {
         "descriptor": report.descriptor,
         "fully_utilized": report.fully_utilized,
@@ -546,12 +533,7 @@ def render_table(report: AuditReport) -> str:
     rows = []
     for v in report.verdicts:
         spec = v.identity()
-        witness = ""
-        if v.witness is not None:
-            w = v.witness
-            rl = labels[w.row] if w.row < len(labels) else str(w.row)
-            cl = labels[w.col] if w.col < len(labels) else str(w.col)
-            witness = f"({rl}, {cl}): lhs={w.lhs!r} rhs={w.rhs!r}"
+        witness = "" if v.witness is None else v.witness.describe(labels)
         rows.append(
             (v.id, spec.kind.value, spec.statement(), "holds" if v.holds else "FAILS", witness)
         )

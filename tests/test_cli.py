@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from netmat import (
 )
 from netmat.cli import main
 from netmat.fileio import load_graph, load_trajectories, matrix_from_csv
+from netmat.identities import SYMBOLS, audit_dataset, report_to_json_obj
 
 GRAPH_TEXT = "nodes: A B C D\nA B\nB C\nB D\nC D\n"
 TRAJ_TEXT = "A B C D\n"
@@ -56,6 +58,17 @@ class TestCompute:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["command"] == "compute"
         assert "summary.json" in manifest["files"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_file_per_symbol(self, fixture_files, tmp_path, fmt):
+        graph, traj = fixture_files
+        out = tmp_path / "out"
+        assert main([
+            "compute", "--graph", str(graph), "--trajectories", str(traj),
+            "--out", str(out), "--format", fmt, "--quiet",
+        ]) == 0
+        matrices = {p.name for p in out.iterdir()} - {"summary.json", "run_manifest.json"}
+        assert matrices == {f"{symbol}.{fmt}" for symbol in SYMBOLS if symbol != "0"}
 
     def test_json_format(self, fixture_files, tmp_path):
         graph, traj = fixture_files
@@ -184,6 +197,29 @@ class TestGen:
         assert main(["gen", "--n", "0", "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    # sha256 of graph.txt + trajectories.txt written by gen --fully-utilized,
+    # pinned from the output of an earlier release.
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (
+                ["--n", "7", "--edge-prob", "0.35", "--max-traj", "30", "--max-len", "5",
+                 "--no-allow-duplicates", "--seed", "5"],
+                "1193788d8273d74e41786145dca1893db310d9064b910d945c0c73343809c3cd",
+            ),
+            (
+                ["--n", "9", "--edge-prob", "0.3", "--max-traj", "40", "--allow-duplicates",
+                 "--seed", "11"],
+                "7778d3415766f670d6f446b4dfc18ffd63343ffc4cee33a2a558bfbb549ab533",
+            ),
+        ],
+    )
+    def test_fully_utilized_output_pinned(self, tmp_path, flags, digest):
+        out = tmp_path / "g"
+        assert main(["gen", "--fully-utilized", *flags, "--out", str(out), "--quiet"]) == 0
+        written = (out / "graph.txt").read_bytes() + (out / "trajectories.txt").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest
+
     def test_fully_utilized_flag(self, tmp_path):
         out = tmp_path / "g"
         assert main(["gen", "--n", "5", "--edge-prob", "0.6", "--seed", "2", "--fully-utilized", "--out", str(out), "--quiet"]) == 0
@@ -204,6 +240,19 @@ class TestHunt:
         graph = load_graph(out / "graph.txt")
         trajectories = load_trajectories(out / "trajectories.txt", graph)
         assert trajectories  # falsifier dataset is replayable
+
+    @pytest.mark.parametrize(
+        "identity, seed", [("X.EHAT_L_NEQ_L", "3"), ("CLAIMED.D_TC", "0")]
+    )
+    def test_witness_matches_audit_report(self, tmp_path, identity, seed):
+        out = tmp_path / "h"
+        assert main(["hunt", identity, "--seed", seed, "--out", str(out), "--quiet"]) == 0
+        witness = json.loads((out / "hunt_report.json").read_text())["witness"]
+        graph = load_graph(out / "graph.txt")
+        found = Dataset(graph, load_trajectories(out / "trajectories.txt", graph))
+        verdicts = report_to_json_obj(audit_dataset(found))["verdicts"]
+        assert witness is not None
+        assert witness == next(v["witness"] for v in verdicts if v["id"] == identity)
 
     def test_sound_identity_reports_none(self, tmp_path, capsys):
         out = tmp_path / "h"

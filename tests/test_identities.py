@@ -11,9 +11,13 @@ from netmat import (
     AuditReport,
     IdentityClass,
     IdentitySpec,
+    IdentityVerdict,
+    INF,
+    ParseError,
     Trajectory,
     UndefinedProduct,
     UnknownIdentity,
+    Witness,
     audit_dataset,
     build_structure,
     build_utilization,
@@ -396,7 +400,51 @@ class TestSerialization:
         assert "EXT.2" in render_table(report) and "F̂ = A" in render_table(report)
 
     def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             specs_from_json(json.dumps([{"id": "Q", "class": "UNIVERSAL", "lhs": "Zz", "rhs": "A"}]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             specs_from_json(json.dumps([{"id": "Q", "class": "UNIVERSAL", "lhs": ["mul", "A", "A"], "rhs": "A"}]))
+
+    def test_non_json_text(self):
+        with pytest.raises(ParseError, match="invalid catalogue JSON"):
+            specs_from_json("[{")
+
+    def test_non_object_entry(self):
+        with pytest.raises(ParseError, match="entry 0: expected an object, got 5"):
+            specs_from_json("[5]")
+
+    def test_empty_entry(self):
+        with pytest.raises(ParseError, match="entry 0: missing field 'id'"):
+            specs_from_json("[{}]")
+
+    def test_entry_missing_rhs(self):
+        good = {"id": "Q", "class": "UNIVERSAL", "lhs": "A", "rhs": "A"}
+        bad = {"id": "R", "class": "UNIVERSAL", "lhs": "A"}
+        with pytest.raises(ParseError, match="entry 1: missing field 'rhs'"):
+            specs_from_json(json.dumps([good, bad]))
+
+    def test_unknown_class(self):
+        entry = {"id": "Q", "class": "MAYBE", "lhs": "A", "rhs": "A"}
+        with pytest.raises(ParseError, match="entry 0: unknown class 'MAYBE'"):
+            specs_from_json(json.dumps([entry]))
+
+    def test_non_string_id(self):
+        entry = {"id": 5, "class": "UNIVERSAL", "lhs": "A", "rhs": "A"}
+        with pytest.raises(ParseError, match="entry 0: id must be a string, got 5"):
+            specs_from_json(json.dumps([entry]))
+
+
+class TestWitness:
+    def test_labelled_forms(self):
+        w = Witness(1, 0, INF, 2)
+        assert w.describe(("a", "b")) == "(b, a): lhs=INF rhs=2"
+        assert w.to_json_obj(("a", "b")) == {
+            "row": 1, "col": 0, "row_label": "b", "col_label": "a", "lhs": None, "rhs": 2,
+        }
+
+    def test_index_past_labels_prints_as_number(self):
+        w = Witness(3, 0, 1, 0)
+        assert w.describe(("a",)) == "(3, a): lhs=1 rhs=0"
+        assert w.to_json_obj(("a",))["row_label"] == "3"
+        report = AuditReport({"labels": ["a"]}, (IdentityVerdict("ME.A_EHAT", False, w),), False)
+        assert "(3, a): lhs=1 rhs=0" in render_table(report)
