@@ -19,8 +19,7 @@ from . import __version__
 from .errors import NetmatError, ParseError
 from .fileio import (
     graph_to_text,
-    load_graph,
-    load_trajectories,
+    load_dataset,
     matrix_to_csv,
     matrix_to_json_obj,
     trajectories_to_text,
@@ -35,7 +34,7 @@ from .identities import (
     search_counterexample,
 )
 from .structure import build_structure
-from .utilization import Dataset, build_utilization, is_fully_utilized
+from .utilization import build_utilization, is_fully_utilized
 
 _GEN_FIELDS = tuple(f.name for f in fields(GenConfig))
 _GEN_DEFAULTS = {
@@ -45,6 +44,16 @@ _GEN_DEFAULTS = {
     "max_len": None,
     "allow_duplicates": False,
     "seed": 0,
+}
+# JSON value types a config file may give each field, with their names for
+# the error message.  bool is not a count; a null max_len means n.
+_GEN_TYPES = {
+    "n": ((int,), "an integer"),
+    "edge_prob": ((int, float), "a number"),
+    "max_traj": ((int,), "an integer"),
+    "max_len": ((int, type(None)), "an integer or null"),
+    "allow_duplicates": ((bool,), "true or false"),
+    "seed": ((int,), "an integer"),
 }
 
 
@@ -73,14 +82,8 @@ def _manifest(args, command: str, inputs: list[str]) -> dict:
     }
 
 
-def _load_dataset(args) -> Dataset:
-    graph = load_graph(args.graph)
-    trajectories = load_trajectories(args.trajectories, graph)
-    return Dataset(graph, trajectories)
-
-
 def _cmd_compute(args) -> int:
-    dataset = _load_dataset(args)
+    dataset = load_dataset(args.graph, args.trajectories)
     s = build_structure(dataset.graph)
     u = build_utilization(dataset, s)
     matrices = {**vars(s), **vars(u)}
@@ -111,7 +114,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    dataset = _load_dataset(args)
+    dataset = load_dataset(args.graph, args.trajectories)
     report = audit_dataset(dataset, name=f"{args.graph} + {args.trajectories}")
     obj = report_to_json_obj(report)
     obj["inputs"] = {"graph": str(args.graph), "trajectories": str(args.trajectories)}
@@ -139,6 +142,13 @@ def _merge_gen_config(args) -> GenConfig:
                 f"unknown config fields: {', '.join(sorted(unknown))}",
                 source=str(args.config),
             )
+        for field, value in loaded.items():
+            types, expected = _GEN_TYPES[field]
+            if type(value) not in types:
+                raise ParseError(
+                    f"config field {field} must be {expected}, got {json.dumps(value)}",
+                    source=str(args.config),
+                )
         merged.update(loaded)
     for field in _GEN_FIELDS:
         value = getattr(args, field)

@@ -26,7 +26,7 @@ from pathlib import Path
 from .errors import ParseError, TrajectoryError
 from .matrices import INF, CountMatrix
 from .structure import Graph, check_labels
-from .utilization import Trajectory, validate_trajectory
+from .utilization import Dataset, Trajectory
 
 __all__ = [
     "graph_to_text",
@@ -35,6 +35,7 @@ __all__ = [
     "trajectories_to_text",
     "trajectories_from_text",
     "load_trajectories",
+    "load_dataset",
     "matrix_to_csv",
     "matrix_from_csv",
     "cell_to_json",
@@ -116,27 +117,36 @@ def trajectories_to_text(trajectories, labels: tuple[str, ...]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _dataset_from_text(text: str, graph: Graph, source: str) -> Dataset:
+    index = {lbl: i for i, lbl in enumerate(graph.labels)}
+    line_no = None
+
+    def parsed():
+        # Dataset validates each trajectory as it is yielded, before the
+        # next line is read, so line_no names the line of any failure and
+        # errors surface in line order.
+        nonlocal line_no
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = _strip_comment(raw)
+            if not line:
+                continue
+            nodes = []
+            for token in line.split():
+                if token not in index:
+                    raise ParseError(f"unknown node label {token!r}", source, line_no)
+                nodes.append(index[token])
+            yield Trajectory(tuple(nodes))
+
+    try:
+        return Dataset(graph, parsed())
+    except TrajectoryError as e:
+        raise ParseError(f"{type(e).__name__}: {e}", source, line_no) from e
+
+
 def trajectories_from_text(
     text: str, graph: Graph, source: str = "<trajectories>"
 ) -> tuple[Trajectory, ...]:
-    index = {lbl: i for i, lbl in enumerate(graph.labels)}
-    out: list[Trajectory] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        nodes = []
-        for token in line.split():
-            if token not in index:
-                raise ParseError(f"unknown node label {token!r}", source, line_no)
-            nodes.append(index[token])
-        try:
-            t = Trajectory(tuple(nodes))
-            validate_trajectory(t, graph)
-        except TrajectoryError as e:
-            raise ParseError(f"{type(e).__name__}: {e}", source, line_no) from e
-        out.append(t)
-    return tuple(out)
+    return _dataset_from_text(text, graph, source).trajectories
 
 
 def load_trajectories(path: str | Path, graph: Graph) -> tuple[Trajectory, ...]:
@@ -144,6 +154,13 @@ def load_trajectories(path: str | Path, graph: Graph) -> tuple[Trajectory, ...]:
     return trajectories_from_text(
         path.read_text(encoding="utf-8"), graph, source=str(path)
     )
+
+
+def load_dataset(graph_path: str | Path, trajectories_path: str | Path) -> Dataset:
+    """A graph file and a trajectory file on it, each trajectory validated once."""
+    graph = load_graph(graph_path)
+    path = Path(trajectories_path)
+    return _dataset_from_text(path.read_text(encoding="utf-8"), graph, source=str(path))
 
 
 def matrix_to_csv(m: CountMatrix, labels: tuple[str, ...]) -> str:

@@ -9,6 +9,17 @@ An expression is either a symbol name or an (op, lhs, rhs) triple with op
 one of "had" (Hadamard product), "add", "sub".  Relations are "eq" (exact
 cell equality) or "leq" (elementwise order).
 
+Each spec is compiled once, and cached by spec, into functions over row
+tuples: an operator maps operator.mul, add or sub over paired rows of
+matrices the bundles already validated, and no intermediate matrix is built.
+Operands holding INF go through per-cell loops with the semantics of
+hadamard, ew_add and ew_sub: INF * 0 raises UndefinedProduct (prefixed with
+the spec id), INF in a sum raises InfiniteOperand, and a difference raises
+NegativeResult or InfiniteOperand, each naming the cell.  Both sides are
+computed in full before any cell is compared, so such an exception is
+raised even when an earlier cell in row-major order would be the witness.
+The witness is the first failing cell in row-major order.
+
 Catalogue classes:
 
     UNIVERSAL             holds on every dataset; an audit failure means a bug
@@ -28,10 +39,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .errors import ParseError, UndefinedProduct, UnknownIdentity
+from .errors import DimensionMismatch, ParseError, UndefinedProduct, UnknownIdentity
 from .fileio import cell_to_json
 from .generators import GenConfig, gen_dataset
-from .matrices import CountMatrix, ew_add, ew_sub, hadamard
+from .matrices import CountMatrix, _add_rows, _hadamard_rows, _sub_rows
 from .structure import Graph, StructureBundle, build_structure
 from .utilization import Dataset, UtilizationBundle, build_utilization, is_fully_utilized
 
@@ -304,32 +315,75 @@ def _symbol_table(s: StructureBundle, u: UtilizationBundle) -> dict[str, CountMa
     return {**vars(s), **vars(u), "0": _zero_matrix(s.A.n)}
 
 
-def _eval_expr(expr, env: dict[str, CountMatrix]) -> CountMatrix:
+# Each operator's row function and whether its result holds INF, given
+# whether each operand does.  A product keeps every INF cell (INF * 0
+# raises), a sum has none (an INF operand raises), and a difference keeps
+# the INF cells of its left operand (INF - INF and finite - INF raise).
+_ROW_OPS = {
+    "had": (_hadamard_rows, operator.or_),
+    "add": (_add_rows, lambda xi, yi: False),
+    "sub": (_sub_rows, lambda xi, yi: xi),
+}
+
+
+def _compile_expr(expr):
+    # A compiled expression maps a symbol table to (rows, has_inf).  Unknown
+    # symbols and operators raise on evaluation, after their operands, so
+    # errors surface in evaluation order.
     if isinstance(expr, str):
-        try:
-            return env[expr]
-        except KeyError:
-            raise ValueError(f"unknown symbol {expr!r} in expression") from None
+
+        def leaf(env):
+            try:
+                m = env[expr]
+            except KeyError:
+                raise ValueError(f"unknown symbol {expr!r} in expression") from None
+            return m.cells, m.has_inf
+
+        return leaf
     op, lhs, rhs = expr
-    left = _eval_expr(lhs, env)
-    right = _eval_expr(rhs, env)
-    if op == "had":
-        return hadamard(left, right)
-    if op == "add":
-        return ew_add(left, right)
-    if op == "sub":
-        return ew_sub(left, right)
-    raise ValueError(f"unknown operator {op!r} in expression")
+    left, right = _compile_expr(lhs), _compile_expr(rhs)
+    row_op = _ROW_OPS.get(op)
+
+    def node(env):
+        x, x_inf = left(env)
+        y, y_inf = right(env)
+        if row_op is None:
+            raise ValueError(f"unknown operator {op!r} in expression")
+        if len(x) != len(y):
+            raise DimensionMismatch(f"{len(x)}x{len(x)} vs {len(y)}x{len(y)}")
+        rows_of, result_inf = row_op
+        return rows_of(x, y, x_inf or y_inf), result_inf(x_inf, y_inf)
+
+    return node
+
+
+@lru_cache(maxsize=1024)
+def _compile(spec: IdentitySpec):
+    return _compile_expr(spec.lhs), _compile_expr(spec.rhs)
+
+
+def _compiled(spec: IdentitySpec):
+    try:
+        return _compile(spec)
+    except TypeError:
+        # A hand-built spec may hold lists, which cannot key the cache.
+        return _compile.__wrapped__(spec)
 
 
 def evaluate_identity(
     spec: IdentitySpec, s: StructureBundle, u: UtilizationBundle
 ) -> IdentityVerdict:
-    """Evaluate both sides of one relation; report the first bad cell if any."""
+    """Evaluate both sides of one relation; report the first bad cell if any.
+
+    Both sides are computed in full before any cell is compared, so an
+    exception anywhere in either side wins over a witness in an earlier
+    cell.
+    """
+    lhs_fn, rhs_fn = _compiled(spec)
     env = _symbol_table(s, u)
     try:
-        lhs = _eval_expr(spec.lhs, env)
-        rhs = _eval_expr(spec.rhs, env)
+        lhs, _ = lhs_fn(env)
+        rhs, _ = rhs_fn(env)
     except UndefinedProduct as e:
         raise UndefinedProduct(f"{spec.id}: {e}") from e
     if spec.relation == "leq":
@@ -337,8 +391,8 @@ def evaluate_identity(
         bad = lambda a, b: not a <= b  # noqa: E731
     else:
         row_ok = operator.eq
-        bad = lambda a, b: a != b  # noqa: E731
-    for i, (lr, rr) in enumerate(zip(lhs.cells, rhs.cells)):
+        bad = operator.ne
+    for i, (lr, rr) in enumerate(zip(lhs, rhs)):
         if row_ok(lr, rr):
             continue
         for j, (a, b) in enumerate(zip(lr, rr)):
@@ -347,11 +401,17 @@ def evaluate_identity(
     return IdentityVerdict(spec.id, True, spec=spec)
 
 
-def audit_dataset(d: Dataset, *, name: str = "") -> AuditReport:
-    """Build both bundles and evaluate every catalogued relation."""
+def audit_dataset(
+    d: Dataset, *, name: str = "", specs: tuple[IdentitySpec, ...] = CATALOGUE
+) -> AuditReport:
+    """Build both bundles and evaluate every relation of ``specs``.
+
+    ``specs`` defaults to the catalogue; any spec list, such as the output
+    of ``specs_from_json``, goes through the same evaluator.
+    """
     s = build_structure(d.graph)
     u = build_utilization(d, s)
-    verdicts = tuple(evaluate_identity(spec, s, u) for spec in CATALOGUE)
+    verdicts = tuple(evaluate_identity(spec, s, u) for spec in specs)
     descriptor = {
         "name": name,
         "n": d.graph.n,

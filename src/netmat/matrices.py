@@ -190,8 +190,14 @@ def binarize(m: CountMatrix) -> BinaryMatrix:
     return BinaryMatrix(tuple(tuple(map(_BIT, row, repeat(1))) for row in m.cells))
 
 
-def _rowwise(op, x: CountMatrix, y: CountMatrix) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(map(op, xr, yr)) for xr, yr in zip(x.cells, y.cells))
+# The _*_rows functions are the elementwise operations on row tuples, given
+# whether either operand holds INF; the identity evaluator calls them
+# directly, so it builds no matrix.  Without INF whole rows go through map;
+# with INF per-cell loops raise at the first cell that has no value.
+
+
+def _rowwise(op, x, y) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(map(op, xr, yr)) for xr, yr in zip(x, y))
 
 
 def hadamard(x: CountMatrix, y: CountMatrix) -> CountMatrix:
@@ -202,21 +208,19 @@ def hadamard(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     whenever both operands are binary.
     """
     _same_dimension(x, y)
-    if x.has_inf or y.has_inf:
-        rows = _hadamard_cells(x, y)
-    else:
-        rows = _rowwise(operator.mul, x, y)
     cls = (
         BinaryMatrix
         if isinstance(x, BinaryMatrix) and isinstance(y, BinaryMatrix)
         else CountMatrix
     )
-    return cls(rows)
+    return cls(_hadamard_rows(x.cells, y.cells, x.has_inf or y.has_inf))
 
 
-def _hadamard_cells(x: CountMatrix, y: CountMatrix) -> tuple[tuple, ...]:
+def _hadamard_rows(x, y, has_inf: bool) -> tuple[tuple, ...]:
+    if not has_inf:
+        return _rowwise(operator.mul, x, y)
     rows = []
-    for i, (xr, yr) in enumerate(zip(x.cells, y.cells)):
+    for i, (xr, yr) in enumerate(zip(x, y)):
         row = []
         for j, (a, b) in enumerate(zip(xr, yr)):
             if a is INF or b is INF:
@@ -233,12 +237,16 @@ def _hadamard_cells(x: CountMatrix, y: CountMatrix) -> tuple[tuple, ...]:
 def ew_add(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     """Elementwise sum; both operands must be finite everywhere."""
     _same_dimension(x, y)
-    if x.has_inf or y.has_inf:
-        for i, (xr, yr) in enumerate(zip(x.cells, y.cells)):
+    return CountMatrix(_add_rows(x.cells, y.cells, x.has_inf or y.has_inf))
+
+
+def _add_rows(x, y, has_inf: bool) -> tuple[tuple[int, ...], ...]:
+    if has_inf:
+        for i, (xr, yr) in enumerate(zip(x, y)):
             for j, (a, b) in enumerate(zip(xr, yr)):
                 if a is INF or b is INF:
                     raise InfiniteOperand(f"INF operand at cell ({i}, {j})")
-    return CountMatrix(_rowwise(operator.add, x, y))
+    return _rowwise(operator.add, x, y)
 
 
 def ew_sub(x: CountMatrix, y: CountMatrix) -> CountMatrix:
@@ -250,16 +258,16 @@ def ew_sub(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     InfiniteOperand.
     """
     _same_dimension(x, y)
-    if not (x.has_inf or y.has_inf):
+    return CountMatrix(_sub_rows(x.cells, y.cells, x.has_inf or y.has_inf))
+
+
+def _sub_rows(x, y, has_inf: bool) -> tuple[tuple, ...]:
+    if not has_inf:
         rows = _rowwise(operator.sub, x, y)
         if min(map(min, rows)) >= 0:
-            return CountMatrix(rows)
-    return CountMatrix(_ew_sub_cells(x, y))
-
-
-def _ew_sub_cells(x: CountMatrix, y: CountMatrix) -> tuple[tuple, ...]:
+            return rows
     rows = []
-    for i, (xr, yr) in enumerate(zip(x.cells, y.cells)):
+    for i, (xr, yr) in enumerate(zip(x, y)):
         row = []
         for j, (a, b) in enumerate(zip(xr, yr)):
             if a is INF:

@@ -79,16 +79,21 @@ def validate_trajectory(t: Trajectory, g: Graph) -> None:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A graph together with trajectories recorded on it; validated on build."""
+    """A graph together with trajectories recorded on it; validated on build.
+
+    ``trajectories`` may be any iterable.  Each trajectory is validated as
+    it is taken from the iterable, before the next one is requested.
+    """
 
     graph: Graph
     trajectories: tuple[Trajectory, ...]
 
     def __post_init__(self):
-        trajectories = tuple(self.trajectories)
-        object.__setattr__(self, "trajectories", trajectories)
-        for t in trajectories:
+        trajectories = []
+        for t in self.trajectories:
             validate_trajectory(t, self.graph)
+            trajectories.append(t)
+        object.__setattr__(self, "trajectories", tuple(trajectories))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,14 @@ from netmat import (
     BinaryMatrix,
     CountMatrix,
     Dataset,
+    IdentitySpec,
+    IdentityVerdict,
     InfiniteOperand,
     NegativeResult,
     StructureBundle,
     UndefinedProduct,
+    UtilizationBundle,
+    Witness,
 )
 
 
@@ -93,6 +97,44 @@ def ew_sub_cells(x: CountMatrix, y: CountMatrix) -> CountMatrix:
                 row.append(a - b)
         rows.append(tuple(row))
     return CountMatrix(tuple(rows))
+
+
+# Whole-matrix reference for identity evaluation: every operator node builds
+# a validated matrix through the per-cell references above, both sides are
+# complete before any cell is compared, and the first differing cell in
+# row-major order is the witness.
+
+_CELL_OPS = {"had": hadamard_cells, "add": ew_add_cells, "sub": ew_sub_cells}
+
+
+def _eval_expr_materialized(expr, env: dict[str, CountMatrix]) -> CountMatrix:
+    if isinstance(expr, str):
+        try:
+            return env[expr]
+        except KeyError:
+            raise ValueError(f"unknown symbol {expr!r} in expression") from None
+    op, lhs, rhs = expr
+    left = _eval_expr_materialized(lhs, env)
+    right = _eval_expr_materialized(rhs, env)
+    if op not in _CELL_OPS:
+        raise ValueError(f"unknown operator {op!r} in expression")
+    return _CELL_OPS[op](left, right)
+
+
+def evaluate_identity_materialized(
+    spec: IdentitySpec, s: StructureBundle, u: UtilizationBundle
+) -> IdentityVerdict:
+    env = {**vars(s), **vars(u), "0": CountMatrix.zeros(s.A.n)}
+    try:
+        lhs = _eval_expr_materialized(spec.lhs, env)
+        rhs = _eval_expr_materialized(spec.rhs, env)
+    except UndefinedProduct as e:
+        raise UndefinedProduct(f"{spec.id}: {e}") from e
+    for i, (lr, rr) in enumerate(zip(lhs.cells, rhs.cells)):
+        for j, (a, b) in enumerate(zip(lr, rr)):
+            if (not a <= b) if spec.relation == "leq" else a != b:
+                return IdentityVerdict(spec.id, False, Witness(i, j, a, b), spec)
+    return IdentityVerdict(spec.id, True, spec=spec)
 
 
 # Per-pair references for the utilization counts: each visits every ordered

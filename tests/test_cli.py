@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from netmat import (
     Dataset,
     gen_dataset,
 )
+from netmat import utilization
 from netmat.cli import main
 from netmat.fileio import load_graph, load_trajectories, matrix_from_csv
 from netmat.identities import SYMBOLS, audit_dataset, report_to_json_obj
@@ -89,6 +91,26 @@ class TestCompute:
         assert code == 2
         err = capsys.readouterr().err
         assert "MissingEdge" in err and ":2:" in err
+
+    @pytest.mark.parametrize("command", ["compute", "audit"])
+    def test_validates_each_trajectory_once(self, tmp_path, monkeypatch, command):
+        original = utilization.validate_trajectory
+        calls = []
+
+        def counting(t, g):
+            calls.append(t)
+            original(t, g)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("netmat") and getattr(module, "validate_trajectory", None) is original:
+                monkeypatch.setattr(module, "validate_trajectory", counting)
+        graph = tmp_path / "g.txt"
+        graph.write_text(GRAPH_TEXT)
+        traj = tmp_path / "t.txt"
+        traj.write_text("A B C D\nB D\n")
+        argv = [command, "--graph", str(graph), "--trajectories", str(traj), "--quiet"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 2
 
     def test_empty_trajectory_file(self, tmp_path):
         graph = tmp_path / "g.txt"
@@ -192,6 +214,23 @@ class TestGen:
         cfg_path.write_text(json.dumps({"nodes": 4}))
         assert main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "unknown config fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"n": "6"}, 'config field n must be an integer, got "6"'),
+            ({"edge_prob": "x"}, 'config field edge_prob must be a number, got "x"'),
+            ({"allow_duplicates": 1}, "config field allow_duplicates must be true or false, got 1"),
+        ],
+    )
+    def test_wrong_typed_config_field_exits_2(self, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["gen", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg_path}: {message}\n"
+        assert not out.exists()
 
     def test_invalid_n_exits_2(self, tmp_path, capsys):
         assert main(["gen", "--n", "0", "--out", str(tmp_path / "o")]) == 2

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from netmat import (
     CATALOGUE,
     Dataset,
+    DimensionMismatch,
     Graph,
     AuditReport,
     IdentityClass,
     IdentitySpec,
     IdentityVerdict,
     INF,
+    NegativeResult,
+    NetmatError,
     ParseError,
     Trajectory,
     UndefinedProduct,
@@ -34,8 +37,9 @@ from netmat import (
     search_counterexample,
     specs_from_json,
 )
-from netmat.identities import SYMBOLS, _symbol_table
+from netmat.identities import SYMBOLS, _symbol_table, evaluate_on_dataset
 
+from oracles import evaluate_identity_materialized
 from test_utilization import dataset_from_seed
 
 seeds = st.integers(0, 2**32 - 1)
@@ -223,6 +227,78 @@ class TestEvaluate:
             assert evaluate_identity(spec, s, u).holds, spec.id
 
 
+# P and E are drawn as often as the other 14 symbols together, so INF
+# cells reach nested operators and not only the leaves.
+expressions = st.recursive(
+    st.one_of(st.sampled_from(("P", "E")), st.sampled_from(SYMBOLS)),
+    lambda inner: st.tuples(st.sampled_from(("had", "add", "sub")), inner, inner),
+    max_leaves=5,
+)
+
+
+def _outcome(evaluate, spec, s, u):
+    try:
+        v = evaluate(spec, s, u)
+    except NetmatError as e:
+        return type(e), str(e)
+    return v.holds, v.witness
+
+
+class TestCompiledEvaluator:
+    @settings(max_examples=300, deadline=None)
+    @given(seeds, st.sampled_from(("eq", "leq")), expressions, expressions)
+    def test_matches_materializing_oracle(self, seed, relation, lhs, rhs):
+        # Small random graphs leave pairs unreachable, so P and E carry INF.
+        d = dataset_from_seed(seed, max_n=6)
+        s = build_structure(d.graph)
+        u = build_utilization(d, s)
+        spec = IdentitySpec("EXT.H", IdentityClass.UNIVERSAL, relation, lhs, rhs, "")
+        assert _outcome(evaluate_identity, spec, s, u) == _outcome(
+            evaluate_identity_materialized, spec, s, u
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(seeds)
+    def test_catalogue_matches_materializing_oracle(self, seed):
+        d = dataset_from_seed(seed, max_n=8)
+        s = build_structure(d.graph)
+        u = build_utilization(d, s)
+        for spec in CATALOGUE:
+            assert evaluate_identity(spec, s, u) == evaluate_identity_materialized(spec, s, u)
+
+    def test_inf_times_zero_in_a_later_row_beats_an_earlier_witness(self):
+        # a -> b, a -> c, one trajectory a b: A and Phat o F differ at (0, 2),
+        # while P(1, 0) is INF where F(1, 0) is 0.
+        d = Dataset(Graph(("a", "b", "c"), frozenset({(0, 1), (0, 2)})), (Trajectory((0, 1)),))
+        finite = IdentitySpec("EXT.4", IdentityClass.UNIVERSAL, "eq", "A", _had("Phat", "F"), "")
+        assert evaluate_on_dataset(finite, d).witness == Witness(0, 2, 1, 0)
+        spec = IdentitySpec("EXT.4", IdentityClass.UNIVERSAL, "eq", "A", _had("P", "F"), "")
+        with pytest.raises(UndefinedProduct, match=r"^EXT\.4: INF \* 0 at cell \(1, 0\)$"):
+            evaluate_on_dataset(spec, d)
+
+    def test_negative_difference_in_a_later_row_beats_an_earlier_witness(self, chain3_graph):
+        # A - F goes negative at (1, 2), where two trajectories use the edge;
+        # A and A - Fhat already differ at (0, 1).
+        d = Dataset(chain3_graph, (Trajectory((0, 1)), Trajectory((1, 2)), Trajectory((1, 2))))
+        finite = IdentitySpec("EXT.5", IdentityClass.UNIVERSAL, "eq", "A", _sub("A", "Fhat"), "")
+        assert evaluate_on_dataset(finite, d).witness == Witness(0, 1, 1, 0)
+        spec = IdentitySpec("EXT.5", IdentityClass.UNIVERSAL, "eq", "A", _sub("A", "F"), "")
+        with pytest.raises(NegativeResult, match=r"^1 - 2 at cell \(1, 2\)$"):
+            evaluate_on_dataset(spec, d)
+
+    def test_bundles_of_different_dimension(self, chain3_graph, shortcut_utilization):
+        s = build_structure(chain3_graph)
+        spec = IdentitySpec("EXT.9", IdentityClass.UNIVERSAL, "eq", _had("A", "F"), "0", "")
+        with pytest.raises(DimensionMismatch, match=r"^3x3 vs 4x4$"):
+            evaluate_identity(spec, s, shortcut_utilization)
+
+    def test_spec_with_list_expressions(self, shortcut_structure, shortcut_utilization):
+        # Lists cannot key the compiled-spec cache; the spec still evaluates.
+        spec = IdentitySpec("EXT.6", IdentityClass.NEGATIVE, "eq", ["had", "Ehat", "L"], "L", "")
+        v = evaluate_identity(spec, shortcut_structure, shortcut_utilization)
+        assert (v.holds, v.witness) == (False, Witness(1, 3, 0, 1))
+
+
 class TestAudit:
     def test_fixture_report(self, shortcut_dataset):
         report = audit_dataset(shortcut_dataset, name="fixture")
@@ -260,6 +336,24 @@ class TestAudit:
             "rhs": 1,
         }
         json.dumps(obj)  # must be JSON-serializable as-is
+
+    def test_external_spec_list_audits_and_renders(self, shortcut_dataset):
+        specs = specs_from_json(json.dumps([
+            {"id": "EXT.7", "class": "UNIVERSAL", "lhs": "Fhat", "rhs": "A"},
+            {"id": "EXT.8", "class": "MUTUAL_EXCLUSIVITY", "lhs": ["had", "A", "Ehat"], "rhs": "0"},
+        ]))
+        report = audit_dataset(shortcut_dataset, name="ext", specs=specs)
+        assert [v.id for v in report.verdicts] == ["EXT.7", "EXT.8"]
+        assert not report.sound
+        obj = report_to_json_obj(report)
+        assert [(v["id"], v["statement"], v["holds"]) for v in obj["verdicts"]] == [
+            ("EXT.7", "F̂ = A", False),
+            ("EXT.8", get_identity("ME.A_EHAT").statement(), True),
+        ]
+        assert obj["verdicts"][0]["witness"]["row_label"] == "B"
+        text = render_table(report)
+        assert "EXT.7" in text and "F̂ = A" in text and "(B, D): lhs=0 rhs=1" in text
+        assert "VIOLATED" in text
 
     def test_render_table_mentions_failures(self, shortcut_dataset):
         text = render_table(audit_dataset(shortcut_dataset, name="fixture"))
