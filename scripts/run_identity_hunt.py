@@ -9,8 +9,8 @@ import argparse
 import sys
 import time
 
-from netmat import list_identities, search_counterexample
-from netmat.identities import evaluate_on_dataset
+from netmat import list_identities
+from netmat.identities import evaluate_on_dataset, search_counterexample
 
 
 def main() -> int:

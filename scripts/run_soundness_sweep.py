@@ -12,7 +12,9 @@ import sys
 import time
 from collections import Counter
 
-from netmat import GenConfig, IdentityClass, audit_dataset, gen_dataset, sweep_configs
+from netmat import audit_dataset, gen_dataset, sweep_configs
+from netmat.generators import GenConfig
+from netmat.identities import IdentityClass
 
 
 def replay_command(cfg: GenConfig) -> str:

@@ -5,141 +5,53 @@ distance, external) and aggregates trajectory data into utilization matrices
 (flow, origin-destination, indirect / alternative / substitute route flows),
 then mechanically audits the catalogue of Hadamard-product identities and
 mutual-exclusivity relations tying the two families together.
+
+``__all__`` below is the package's one list of public names; everything
+else is imported from its own module, e.g. ``netmat.matrices.hadamard``.
 """
 
 __version__ = "0.1.0"
 
 from .errors import (
-    CrossCheckFailure,
-    DimensionMismatch,
     InfiniteOperand,
-    MissingEdge,
     NegativeResult,
     NetmatError,
     ParseError,
-    RepeatedNode,
-    TooShort,
-    TrajectoryError,
     UndefinedProduct,
-    UnknownIdentity,
 )
-from .matrices import (
-    INF,
-    BinaryMatrix,
-    CountMatrix,
-    ExtendedCount,
-    binarize,
-    ew_add,
-    ew_leq,
-    ew_sub,
-    hadamard,
-    is_zero,
-    mutually_exclusive,
-)
-from .structure import (
-    Graph,
-    StructureBundle,
-    build_adjacency,
-    build_structure,
-    distance_matrix,
-    external_matrix,
-)
-from .utilization import (
-    Dataset,
-    Trajectory,
-    UtilizationBundle,
-    build_utilization,
-    is_fully_utilized,
-    validate_trajectory,
-)
-from .generators import (
-    GenConfig,
-    gen_dataset,
-    gen_digraph,
-    gen_fully_utilized,
-    gen_trajectory,
-    sweep_configs,
-)
+from .matrices import INF
+from .structure import Graph, build_structure
+from .utilization import Dataset, Trajectory, build_utilization
+from .generators import gen_dataset, sweep_configs
 from .identities import (
-    CATALOGUE,
-    AuditReport,
-    IdentityClass,
-    IdentitySpec,
-    IdentityVerdict,
-    Witness,
     audit_dataset,
     catalogue_to_json,
     evaluate_identity,
     get_identity,
     list_identities,
-    render_table,
-    report_to_json_obj,
-    search_counterexample,
-    specs_from_json,
 )
 
 __all__ = [
     "__version__",
+    "INF",
     # errors
     "NetmatError",
-    "DimensionMismatch",
+    "ParseError",
     "UndefinedProduct",
     "InfiniteOperand",
     "NegativeResult",
-    "TrajectoryError",
-    "TooShort",
-    "RepeatedNode",
-    "MissingEdge",
-    "CrossCheckFailure",
-    "ParseError",
-    "UnknownIdentity",
-    # matrices
-    "INF",
-    "ExtendedCount",
-    "CountMatrix",
-    "BinaryMatrix",
-    "binarize",
-    "hadamard",
-    "ew_add",
-    "ew_sub",
-    "ew_leq",
-    "is_zero",
-    "mutually_exclusive",
-    # structure
+    # building and auditing a dataset
     "Graph",
-    "StructureBundle",
-    "build_adjacency",
-    "distance_matrix",
-    "external_matrix",
-    "build_structure",
-    # utilization
     "Trajectory",
     "Dataset",
-    "UtilizationBundle",
-    "validate_trajectory",
+    "build_structure",
     "build_utilization",
-    "is_fully_utilized",
-    # generators
-    "GenConfig",
-    "gen_digraph",
-    "gen_trajectory",
-    "gen_dataset",
-    "gen_fully_utilized",
-    "sweep_configs",
-    # identities
-    "IdentityClass",
-    "IdentitySpec",
-    "Witness",
-    "IdentityVerdict",
-    "AuditReport",
-    "CATALOGUE",
+    "audit_dataset",
+    "evaluate_identity",
+    "catalogue_to_json",
+    # catalogue and random datasets
     "list_identities",
     "get_identity",
-    "evaluate_identity",
-    "audit_dataset",
-    "search_counterexample",
-    "catalogue_to_json",
-    "specs_from_json",
-    "report_to_json_obj",
-    "render_table",
+    "gen_dataset",
+    "sweep_configs",
 ]

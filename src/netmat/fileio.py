@@ -28,21 +28,6 @@ from .matrices import INF, CountMatrix
 from .structure import Graph, check_labels
 from .utilization import Dataset, Trajectory
 
-__all__ = [
-    "graph_to_text",
-    "graph_from_text",
-    "load_graph",
-    "trajectories_to_text",
-    "trajectories_from_text",
-    "load_trajectories",
-    "load_dataset",
-    "matrix_to_csv",
-    "matrix_from_csv",
-    "cell_to_json",
-    "matrix_to_json_obj",
-    "matrix_from_json_obj",
-]
-
 
 def _strip_comment(raw: str) -> str:
     return raw.split("#", 1)[0].strip()

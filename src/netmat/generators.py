@@ -15,15 +15,6 @@ from typing import Iterator
 from .structure import Graph
 from .utilization import Dataset, Trajectory
 
-__all__ = [
-    "GenConfig",
-    "gen_digraph",
-    "gen_trajectory",
-    "gen_dataset",
-    "gen_fully_utilized",
-    "sweep_configs",
-]
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -77,6 +68,9 @@ def _random_path(
     max_len: int,
     rng: random.Random,
 ) -> Trajectory | None:
+    # Random simple directed path of 2..max_len nodes, or None if no start
+    # node has an edge (or max_len < 2).  Dead-end walks are retried a
+    # bounded number of times rather than backtracked.
     if max_len < 2 or not starts:
         return None
     for _ in range(12):
@@ -94,15 +88,6 @@ def _random_path(
         if len(path) >= 2:
             return Trajectory(tuple(path))
     return None
-
-
-def gen_trajectory(g: Graph, max_len: int, seed: int) -> Trajectory | None:
-    """Random simple directed path of 2..max_len nodes, or None if the graph
-    offers no edge (or max_len < 2).  Dead-end walks are retried a bounded
-    number of times rather than backtracked."""
-    succ = g.successors()
-    starts = sorted(succ)
-    return _random_path(succ, starts, min(max_len, g.n), random.Random(seed))
 
 
 def _with_random_paths(

@@ -46,25 +46,6 @@ from .matrices import CountMatrix, _add_rows, _hadamard_rows, _sub_rows
 from .structure import Graph, StructureBundle, build_structure
 from .utilization import Dataset, UtilizationBundle, build_utilization, is_fully_utilized
 
-__all__ = [
-    "IdentityClass",
-    "IdentitySpec",
-    "Witness",
-    "IdentityVerdict",
-    "AuditReport",
-    "CATALOGUE",
-    "list_identities",
-    "get_identity",
-    "evaluate_identity",
-    "evaluate_on_dataset",
-    "audit_dataset",
-    "search_counterexample",
-    "catalogue_to_json",
-    "specs_from_json",
-    "report_to_json_obj",
-    "render_table",
-]
-
 
 class IdentityClass(str, Enum):
     UNIVERSAL = "UNIVERSAL"
@@ -115,9 +96,30 @@ def render_expr(expr) -> str:
     return f"{left} {_OP_GLYPH[op]} {right}"
 
 
+def _expr_from_obj(obj):
+    # The checked form of an expression, with lists turned into tuples.
+    if isinstance(obj, str):
+        if obj not in SYMBOLS:
+            raise ValueError(f"unknown symbol {obj!r}")
+        return obj
+    if isinstance(obj, (list, tuple)) and len(obj) == 3:
+        op = obj[0]
+        if op not in _OPS:
+            raise ValueError(f"unknown operator {op!r}")
+        return (op, _expr_from_obj(obj[1]), _expr_from_obj(obj[2]))
+    raise ValueError(f"malformed expression {obj!r}")
+
+
 @dataclass(frozen=True)
 class IdentitySpec:
-    """One catalogued relation between two matrix expressions."""
+    """One catalogued relation between two matrix expressions.
+
+    Construction raises ValueError for an id or group that is not a string,
+    a relation other than "eq" or "leq", an unknown class, an unknown
+    symbol or operator, or a malformed expression.  A class given by name
+    is stored as its IdentityClass and list expressions as tuples, so every
+    spec is hashable.
+    """
 
     id: str
     kind: IdentityClass
@@ -125,6 +127,19 @@ class IdentitySpec:
     lhs: object
     rhs: object
     group: str
+
+    def __post_init__(self):
+        for key, value in (("id", self.id), ("group", self.group)):
+            if not isinstance(value, str):
+                raise ValueError(f"{key} must be a string, got {value!r}")
+        if self.relation not in ("eq", "leq"):
+            raise ValueError(f"unknown relation {self.relation!r}")
+        try:
+            object.__setattr__(self, "kind", IdentityClass(self.kind))
+        except ValueError:
+            raise ValueError(f"unknown class {self.kind!r}") from None
+        object.__setattr__(self, "lhs", _expr_from_obj(self.lhs))
+        object.__setattr__(self, "rhs", _expr_from_obj(self.rhs))
 
     def statement(self) -> str:
         return f"{render_expr(self.lhs)} {_REL_GLYPH[self.relation]} {render_expr(self.rhs)}"
@@ -327,31 +342,23 @@ _ROW_OPS = {
 
 
 def _compile_expr(expr):
-    # A compiled expression maps a symbol table to (rows, has_inf).  Unknown
-    # symbols and operators raise on evaluation, after their operands, so
-    # errors surface in evaluation order.
+    # A compiled expression maps a symbol table to (rows, has_inf).
     if isinstance(expr, str):
 
         def leaf(env):
-            try:
-                m = env[expr]
-            except KeyError:
-                raise ValueError(f"unknown symbol {expr!r} in expression") from None
+            m = env[expr]
             return m.cells, m.has_inf
 
         return leaf
     op, lhs, rhs = expr
     left, right = _compile_expr(lhs), _compile_expr(rhs)
-    row_op = _ROW_OPS.get(op)
+    rows_of, result_inf = _ROW_OPS[op]
 
     def node(env):
         x, x_inf = left(env)
         y, y_inf = right(env)
-        if row_op is None:
-            raise ValueError(f"unknown operator {op!r} in expression")
         if len(x) != len(y):
             raise DimensionMismatch(f"{len(x)}x{len(x)} vs {len(y)}x{len(y)}")
-        rows_of, result_inf = row_op
         return rows_of(x, y, x_inf or y_inf), result_inf(x_inf, y_inf)
 
     return node
@@ -360,14 +367,6 @@ def _compile_expr(expr):
 @lru_cache(maxsize=1024)
 def _compile(spec: IdentitySpec):
     return _compile_expr(spec.lhs), _compile_expr(spec.rhs)
-
-
-def _compiled(spec: IdentitySpec):
-    try:
-        return _compile(spec)
-    except TypeError:
-        # A hand-built spec may hold lists, which cannot key the cache.
-        return _compile.__wrapped__(spec)
 
 
 def evaluate_identity(
@@ -379,7 +378,7 @@ def evaluate_identity(
     exception anywhere in either side wins over a witness in an earlier
     cell.
     """
-    lhs_fn, rhs_fn = _compiled(spec)
+    lhs_fn, rhs_fn = _compile(spec)
     env = _symbol_table(s, u)
     try:
         lhs, _ = lhs_fn(env)
@@ -494,34 +493,23 @@ def search_counterexample(
     return None
 
 
-def _expr_from_obj(obj):
-    if isinstance(obj, str):
-        if obj not in SYMBOLS:
-            raise ValueError(f"unknown symbol {obj!r}")
-        return obj
-    if isinstance(obj, (list, tuple)) and len(obj) == 3:
-        op = obj[0]
-        if op not in _OPS:
-            raise ValueError(f"unknown operator {op!r}")
-        return (op, _expr_from_obj(obj[1]), _expr_from_obj(obj[2]))
-    raise ValueError(f"malformed expression {obj!r}")
+def _spec_to_obj(spec: IdentitySpec) -> dict:
+    # The catalogue JSON entry of one spec, read back by _spec_from_obj.
+    return {
+        "id": spec.id,
+        "class": spec.kind.value,
+        "relation": spec.relation,
+        "lhs": spec.lhs,
+        "rhs": spec.rhs,
+        "group": spec.group,
+        "quote": spec.statement(),
+    }
 
 
 def catalogue_to_json(indent: int = 2) -> str:
     """Serialize the catalogue for external consumers; expression triples
     become JSON arrays."""
-    entries = [
-        {
-            "id": spec.id,
-            "class": spec.kind.value,
-            "relation": spec.relation,
-            "lhs": spec.lhs,
-            "rhs": spec.rhs,
-            "group": spec.group,
-            "quote": spec.statement(),
-        }
-        for spec in CATALOGUE
-    ]
+    entries = [_spec_to_obj(spec) for spec in CATALOGUE]
     return json.dumps(entries, indent=indent, ensure_ascii=False) + "\n"
 
 
@@ -531,19 +519,14 @@ def _spec_from_obj(entry) -> IdentitySpec:
     for key in ("id", "class", "lhs", "rhs"):
         if key not in entry:
             raise ValueError(f"missing field {key!r}")
-    ident, group = entry["id"], entry.get("group", "")
-    for key, value in (("id", ident), ("group", group)):
-        if not isinstance(value, str):
-            raise ValueError(f"{key} must be a string, got {value!r}")
-    relation = entry.get("relation", "eq")
-    if relation not in ("eq", "leq"):
-        raise ValueError(f"unknown relation {relation!r}")
-    try:
-        kind = IdentityClass(entry["class"])
-    except ValueError:
-        raise ValueError(f"unknown class {entry['class']!r}") from None
-    lhs = _expr_from_obj(entry["lhs"])
-    return IdentitySpec(ident, kind, relation, lhs, _expr_from_obj(entry["rhs"]), group)
+    return IdentitySpec(
+        entry["id"],
+        entry["class"],
+        entry.get("relation", "eq"),
+        entry["lhs"],
+        entry["rhs"],
+        entry.get("group", ""),
+    )
 
 
 def specs_from_json(text: str) -> tuple[IdentitySpec, ...]:

@@ -20,20 +20,6 @@ from .errors import (
     UndefinedProduct,
 )
 
-__all__ = [
-    "INF",
-    "ExtendedCount",
-    "CountMatrix",
-    "BinaryMatrix",
-    "binarize",
-    "hadamard",
-    "ew_add",
-    "ew_sub",
-    "ew_leq",
-    "is_zero",
-    "mutually_exclusive",
-]
-
 
 class _Unreachable:
     """Sentinel for "no path exists"; orders above every finite count."""
@@ -281,35 +267,3 @@ def _sub_rows(x, y, has_inf: bool) -> tuple[tuple, ...]:
         rows.append(tuple(row))
     return tuple(rows)
 
-
-def ew_leq(x: CountMatrix, y: CountMatrix) -> bool:
-    """True iff x <= y in every cell, with INF as the maximum value."""
-    _same_dimension(x, y)
-    for xr, yr in zip(x.cells, y.cells):
-        for a, b in zip(xr, yr):
-            if not a <= b:
-                return False
-    return True
-
-
-def is_zero(x: CountMatrix) -> bool:
-    """True iff every cell equals 0 (INF counts as nonzero)."""
-    for row in x.cells:
-        for v in row:
-            if v != 0:
-                return False
-    return True
-
-
-def mutually_exclusive(x: CountMatrix, y: CountMatrix) -> bool:
-    """True iff the matrices have no co-located nonzero cells.
-
-    INF counts as nonzero.  Whenever hadamard(x, y) is defined, this agrees
-    with is_zero(hadamard(x, y)), but it never trips over the INF * 0 case.
-    """
-    _same_dimension(x, y)
-    for xr, yr in zip(x.cells, y.cells):
-        for a, b in zip(xr, yr):
-            if a != 0 and b != 0:
-                return False
-    return True

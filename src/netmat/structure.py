@@ -14,15 +14,6 @@ from itertools import compress
 
 from .matrices import INF, BinaryMatrix, CountMatrix, binarize, ew_sub
 
-__all__ = [
-    "Graph",
-    "StructureBundle",
-    "build_adjacency",
-    "distance_matrix",
-    "external_matrix",
-    "build_structure",
-]
-
 
 def check_labels(labels: tuple[str, ...]) -> None:
     """Raise ValueError unless labels are nonempty, whitespace-free, unique strings."""

@@ -37,15 +37,6 @@ from .errors import (
 from .matrices import BinaryMatrix, CountMatrix, binarize, ew_add, hadamard
 from .structure import Graph, StructureBundle
 
-__all__ = [
-    "Trajectory",
-    "Dataset",
-    "UtilizationBundle",
-    "validate_trajectory",
-    "build_utilization",
-    "is_fully_utilized",
-]
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -1,19 +1,10 @@
 """Test-only second implementations kept independent of the library code paths."""
 
-from netmat import (
-    INF,
-    BinaryMatrix,
-    CountMatrix,
-    Dataset,
-    IdentitySpec,
-    IdentityVerdict,
-    InfiniteOperand,
-    NegativeResult,
-    StructureBundle,
-    UndefinedProduct,
-    UtilizationBundle,
-    Witness,
-)
+from netmat import INF, Dataset, InfiniteOperand, NegativeResult, UndefinedProduct
+from netmat.identities import IdentitySpec, IdentityVerdict, Witness
+from netmat.matrices import BinaryMatrix, CountMatrix, _same_dimension
+from netmat.structure import StructureBundle
+from netmat.utilization import UtilizationBundle
 
 
 def floyd_warshall_distance_matrix(a: BinaryMatrix) -> CountMatrix:
@@ -97,6 +88,42 @@ def ew_sub_cells(x: CountMatrix, y: CountMatrix) -> CountMatrix:
                 row.append(a - b)
         rows.append(tuple(row))
     return CountMatrix(tuple(rows))
+
+
+# Whole-matrix predicates the tests assert with.
+
+
+def ew_leq(x: CountMatrix, y: CountMatrix) -> bool:
+    """True iff x <= y in every cell, with INF as the maximum value."""
+    _same_dimension(x, y)
+    for xr, yr in zip(x.cells, y.cells):
+        for a, b in zip(xr, yr):
+            if not a <= b:
+                return False
+    return True
+
+
+def is_zero(x: CountMatrix) -> bool:
+    """True iff every cell equals 0 (INF counts as nonzero)."""
+    for row in x.cells:
+        for v in row:
+            if v != 0:
+                return False
+    return True
+
+
+def mutually_exclusive(x: CountMatrix, y: CountMatrix) -> bool:
+    """True iff the matrices have no co-located nonzero cells.
+
+    INF counts as nonzero.  Whenever hadamard(x, y) is defined, this agrees
+    with is_zero(hadamard(x, y)), but it never trips over the INF * 0 case.
+    """
+    _same_dimension(x, y)
+    for xr, yr in zip(x.cells, y.cells):
+        for a, b in zip(xr, yr):
+            if a != 0 and b != 0:
+                return False
+    return True
 
 
 # Whole-matrix reference for identity evaluation: every operator node builds

@@ -12,23 +12,20 @@ from contextlib import contextmanager
 
 from netmat import (
     Dataset,
-    GenConfig,
-    IdentityClass,
     Trajectory,
     audit_dataset,
     build_structure,
     build_utilization,
     evaluate_identity,
-    ew_add,
-    gen_digraph,
-    gen_fully_utilized,
-    get_identity,
-    hadamard,
-    sweep_configs,
     gen_dataset,
+    get_identity,
+    sweep_configs,
 )
 from netmat.cli import main
 from netmat.fileio import matrix_from_csv
+from netmat.generators import GenConfig, gen_digraph, gen_fully_utilized
+from netmat.identities import IdentityClass
+from netmat.matrices import ew_add, hadamard
 
 from oracles import (
     alternative_route_matrix,

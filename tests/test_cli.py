@@ -4,16 +4,12 @@ import sys
 
 import pytest
 
-from netmat import (
-    GenConfig,
-    INF,
-    Dataset,
-    gen_dataset,
-)
+from netmat import INF, Dataset, audit_dataset, gen_dataset
 from netmat import utilization
 from netmat.cli import main
 from netmat.fileio import load_graph, load_trajectories, matrix_from_csv
-from netmat.identities import SYMBOLS, audit_dataset, report_to_json_obj
+from netmat.generators import GenConfig
+from netmat.identities import SYMBOLS, report_to_json_obj
 
 GRAPH_TEXT = "nodes: A B C D\nA B\nB C\nB D\nC D\n"
 TRAJ_TEXT = "A B C D\n"
@@ -148,8 +144,7 @@ class TestAudit:
 
     def test_soundness_failure_exits_1(self, fixture_files, tmp_path, monkeypatch):
         import netmat.cli as cli
-        from netmat import IdentityVerdict, Witness
-        from netmat.identities import AuditReport
+        from netmat.identities import AuditReport, IdentityVerdict, Witness
 
         def fake_audit(dataset, name=""):
             return AuditReport(

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from netmat import INF, CountMatrix, ParseError, Trajectory
+from netmat import INF, ParseError, Trajectory
 from netmat.fileio import (
     graph_from_text,
     graph_to_text,
@@ -15,6 +15,7 @@ from netmat.fileio import (
     trajectories_from_text,
     trajectories_to_text,
 )
+from netmat.matrices import CountMatrix
 
 
 class TestGraphFormat:

@@ -2,20 +2,15 @@ import pytest
 
 from netmat import (
     Dataset,
-    GenConfig,
-    Graph,
     audit_dataset,
     build_structure,
     build_utilization,
     gen_dataset,
-    gen_digraph,
-    gen_fully_utilized,
-    gen_trajectory,
-    is_fully_utilized,
     sweep_configs,
-    validate_trajectory,
 )
 from netmat.fileio import graph_to_text, trajectories_to_text
+from netmat.generators import GenConfig, gen_digraph, gen_fully_utilized
+from netmat.utilization import is_fully_utilized, validate_trajectory
 
 
 def _serialize(d: Dataset) -> str:
@@ -61,22 +56,26 @@ class TestDigraph:
 
 class TestTrajectory:
     def test_edgeless_graph_gives_none(self):
-        g = Graph(("a", "b"), frozenset())
-        assert gen_trajectory(g, 2, 0) is None
+        cfg = GenConfig(n=2, edge_prob=0.0, max_traj=10, max_len=2, seed=0)
+        assert gen_dataset(cfg).trajectories == ()
 
     def test_single_edge_graph_gives_that_edge(self):
-        g = Graph(("a", "b"), frozenset({(0, 1)}))
-        for seed in range(5):
-            t = gen_trajectory(g, 2, seed)
-            assert t is not None and t.nodes == (0, 1)
+        runs = [
+            gen_dataset(GenConfig(n=2, edge_prob=0.5, max_traj=4, max_len=2,
+                                  allow_duplicates=True, seed=seed))
+            for seed in range(40)
+        ]
+        single = [d for d in runs if d.graph.edges == {(0, 1)}]
+        assert any(d.trajectories for d in single)
+        for d in single:
+            assert all(t.nodes == (0, 1) for t in d.trajectories)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_outputs_validate(self, seed):
-        g = gen_digraph(GenConfig(n=7, edge_prob=0.5, max_traj=0, max_len=0, seed=seed))
-        t = gen_trajectory(g, 7, seed)
-        if t is not None:
-            validate_trajectory(t, g)
-            assert 2 <= len(t.nodes) <= 7
+        d = gen_dataset(GenConfig(n=7, edge_prob=0.5, max_traj=8, max_len=5, seed=seed))
+        for t in d.trajectories:
+            validate_trajectory(t, d.graph)
+            assert 2 <= len(t.nodes) <= 5
 
 
 class TestDataset:

@@ -5,41 +5,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmat import (
-    CATALOGUE,
-    Dataset,
-    DimensionMismatch,
-    Graph,
-    AuditReport,
-    IdentityClass,
-    IdentitySpec,
-    IdentityVerdict,
     INF,
+    Dataset,
+    Graph,
     NegativeResult,
     NetmatError,
     ParseError,
     Trajectory,
     UndefinedProduct,
-    UnknownIdentity,
-    Witness,
     audit_dataset,
     build_structure,
     build_utilization,
     catalogue_to_json,
     evaluate_identity,
-    ew_sub,
     get_identity,
-    hadamard,
-    is_zero,
     list_identities,
-    mutually_exclusive,
+)
+from netmat.errors import DimensionMismatch, UnknownIdentity
+from netmat.identities import (
+    CATALOGUE,
+    SYMBOLS,
+    AuditReport,
+    IdentityClass,
+    IdentitySpec,
+    IdentityVerdict,
+    Witness,
+    _spec_to_obj,
+    _symbol_table,
+    evaluate_on_dataset,
     render_table,
     report_to_json_obj,
     search_counterexample,
     specs_from_json,
 )
-from netmat.identities import SYMBOLS, _symbol_table, evaluate_on_dataset
+from netmat.matrices import ew_sub, hadamard
 
-from oracles import evaluate_identity_materialized
+from oracles import evaluate_identity_materialized, is_zero, mutually_exclusive
 from test_utilization import dataset_from_seed
 
 seeds = st.integers(0, 2**32 - 1)
@@ -293,7 +294,6 @@ class TestCompiledEvaluator:
             evaluate_identity(spec, s, shortcut_utilization)
 
     def test_spec_with_list_expressions(self, shortcut_structure, shortcut_utilization):
-        # Lists cannot key the compiled-spec cache; the spec still evaluates.
         spec = IdentitySpec("EXT.6", IdentityClass.NEGATIVE, "eq", ["had", "Ehat", "L"], "L", "")
         v = evaluate_identity(spec, shortcut_structure, shortcut_utilization)
         assert (v.holds, v.witness) == (False, Witness(1, 3, 0, 1))
@@ -457,11 +457,65 @@ class TestSearch:
             search_counterexample("X.EHAT_L_NEQ_L", -1, 0)
 
 
+class TestSpecValidation:
+    VALID = dict(id="EXT.V", kind=IdentityClass.UNIVERSAL, relation="eq", lhs="F", rhs="Fhat",
+                 group="")
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"id": 5}, "id must be a string, got 5"),
+            ({"group": None}, "group must be a string, got None"),
+            ({"relation": "geq"}, "unknown relation 'geq'"),
+            ({"kind": "MAYBE"}, "unknown class 'MAYBE'"),
+            ({"lhs": "Zz"}, "unknown symbol 'Zz'"),
+            ({"rhs": ("mul", "A", "A")}, "unknown operator 'mul'"),
+            ({"lhs": ("had", "A")}, r"malformed expression \('had', 'A'\)"),
+        ],
+    )
+    def test_rejected_at_construction(self, override, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            IdentitySpec(**{**self.VALID, **override})
+
+    def test_class_by_name_reports(self, shortcut_dataset):
+        spec = IdentitySpec("EXT.K", "UNIVERSAL", "eq", "Fhat", "A", "")
+        assert spec.kind is IdentityClass.UNIVERSAL
+        report = audit_dataset(shortcut_dataset, specs=(spec,))
+        assert not report.sound
+        assert report_to_json_obj(report)["verdicts"][0]["class"] == "UNIVERSAL"
+
+    def test_list_expressions_equal_their_tuple_form(self):
+        tupled = ("had", "Ehat", ("add", "T", "Tc"))
+        listed = ["had", "Ehat", ["add", "T", "Tc"]]
+        spec = IdentitySpec("EXT.L", IdentityClass.NEGATIVE, "eq", listed, "L", "")
+        assert spec == IdentitySpec("EXT.L", IdentityClass.NEGATIVE, "eq", tupled, "L", "")
+        assert spec.lhs == tupled and hash(spec)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("relation", [], r"unknown relation \[\]"),
+            ("lhs", [["had"], "A", "A"], r"unknown operator \['had'\]"),
+        ],
+    )
+    def test_unhashable_json_values_are_parse_errors(self, field, value, message):
+        entry = {"id": "Q", "class": "UNIVERSAL", "lhs": "A", "rhs": "A", field: value}
+        with pytest.raises(ParseError, match=f"entry 0: {message}"):
+            specs_from_json(json.dumps([entry]))
+
+
 class TestSerialization:
     def test_round_trip(self):
         text = catalogue_to_json()
         parsed = specs_from_json(text)
         assert parsed == CATALOGUE
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.sampled_from(IdentityClass), st.sampled_from(("eq", "leq")),
+           expressions, expressions, st.text())
+    def test_random_spec_round_trips(self, ident, kind, relation, lhs, rhs, group):
+        spec = IdentitySpec(ident, kind, relation, lhs, rhs, group)
+        assert specs_from_json(json.dumps([_spec_to_obj(spec)])) == (spec,)
 
     def test_entries_carry_class_group_and_statement(self):
         entries = json.loads(catalogue_to_json())

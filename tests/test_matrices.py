@@ -4,26 +4,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from netmat import (
-    INF,
+from netmat import INF, InfiniteOperand, NegativeResult, NetmatError, UndefinedProduct
+from netmat.errors import DimensionMismatch
+from netmat.matrices import (
     BinaryMatrix,
     CountMatrix,
-    DimensionMismatch,
-    InfiniteOperand,
-    NegativeResult,
-    NetmatError,
-    UndefinedProduct,
+    _Unreachable,
     binarize,
     ew_add,
-    ew_leq,
     ew_sub,
     hadamard,
+)
+
+from oracles import (
+    binarize_cells,
+    ew_add_cells,
+    ew_leq,
+    ew_sub_cells,
+    hadamard_cells,
     is_zero,
     mutually_exclusive,
 )
-from netmat.matrices import _Unreachable
-
-from oracles import binarize_cells, ew_add_cells, ew_sub_cells, hadamard_cells
 
 
 @st.composite

@@ -4,25 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmat import (
-    INF,
-    BinaryMatrix,
-    GenConfig,
-    Graph,
-    binarize,
-    build_adjacency,
-    build_structure,
-    distance_matrix,
-    ew_leq,
-    ew_sub,
-    external_matrix,
-    gen_digraph,
-    hadamard,
-    is_zero,
-    mutually_exclusive,
-)
+from netmat import INF, Graph, build_structure
+from netmat.generators import GenConfig, gen_digraph
+from netmat.matrices import BinaryMatrix, binarize, ew_sub, hadamard
+from netmat.structure import build_adjacency, distance_matrix, external_matrix
 
-from oracles import floyd_warshall_distance_matrix
+from oracles import ew_leq, floyd_warshall_distance_matrix, is_zero, mutually_exclusive
 
 
 class TestGraph:

@@ -6,31 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmat import (
-    CountMatrix,
-    CrossCheckFailure,
     Dataset,
-    GenConfig,
     Graph,
-    MissingEdge,
-    RepeatedNode,
-    TooShort,
     Trajectory,
     build_structure,
     build_utilization,
-    ew_add,
-    ew_leq,
     gen_dataset,
-    hadamard,
-    is_fully_utilized,
-    is_zero,
-    mutually_exclusive,
-    validate_trajectory,
 )
+from netmat.errors import CrossCheckFailure, MissingEdge, RepeatedNode, TooShort
+from netmat.generators import GenConfig
+from netmat.matrices import CountMatrix, ew_add, hadamard
+from netmat.utilization import is_fully_utilized, validate_trajectory
 
 from oracles import (
     alternative_route_matrix,
+    ew_leq,
     flow_matrix,
     indirect_flow_matrix,
+    is_zero,
+    mutually_exclusive,
     od_matrix,
     substitute_route_matrix,
 )
