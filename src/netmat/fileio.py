@@ -182,7 +182,11 @@ def _check_matrix_labels(labels, source: str, line_no: int | None = None) -> Non
 def matrix_from_csv(
     text: str, source: str = "<matrix>"
 ) -> tuple[CountMatrix, tuple[str, ...]]:
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [r for r in reader if r]
+    except csv.Error as e:
+        raise ParseError(f"malformed CSV: {e}", source, reader.line_num) from e
     if not rows:
         raise ParseError("empty matrix file", source)
     header = rows[0]

@@ -10,8 +10,9 @@ one of "had" (Hadamard product), "add", "sub".  Relations are "eq" (exact
 cell equality) or "leq" (elementwise order).
 
 Each spec is compiled once, and cached by spec, into functions over row
-tuples: an operator maps operator.mul, add or sub over paired rows of
-matrices the bundles already validated, and no intermediate matrix is built.
+tuples: an operator maps operator.mul, add or sub over paired rows of the
+bundles' matrices, whose cells are valid by construction, and no
+intermediate matrix is built.
 Operands holding INF go through per-cell loops with the semantics of
 hadamard, ew_add and ew_sub: INF * 0 raises UndefinedProduct (prefixed with
 the spec id), INF in a sum raises InfiniteOperand, and a difference raises
@@ -430,15 +431,17 @@ def evaluate_on_dataset(spec: IdentitySpec, d: Dataset) -> IdentityVerdict:
 def _shrink(spec: IdentitySpec, d: Dataset) -> Dataset:
     # Greedy minimization: drop trajectories, then edges no trajectory uses,
     # keeping each removal only while the dataset still falsifies the
-    # relation; repeat until a pass changes nothing.
+    # relation; repeat until a pass changes nothing.  Dropping trajectories
+    # keeps the graph, so that pass builds its structure once.
     changed = True
     while changed:
         changed = False
         trajs = list(d.trajectories)
+        s = build_structure(d.graph)
         i = 0
         while i < len(trajs):
             candidate = Dataset(d.graph, tuple(trajs[:i] + trajs[i + 1 :]))
-            if not evaluate_on_dataset(spec, candidate).holds:
+            if not evaluate_identity(spec, s, build_utilization(candidate, s)).holds:
                 del trajs[i]
                 d = candidate
                 changed = True

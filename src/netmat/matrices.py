@@ -5,6 +5,16 @@ pairs with no connecting path.  CountMatrix holds arbitrary extended counts;
 BinaryMatrix restricts every cell to {0, 1} and converts implicitly toward
 counts because it simply is one.  All values are immutable and every
 operation is a pure function, so matrices are safe to share across threads.
+
+Cells are validated where data comes in: the public CountMatrix and
+BinaryMatrix constructors, ``zeros`` and the matrix parsers of ``fileio``.
+Matrices the package computes from matrices it already holds skip that
+scan through the private ``_trusted`` constructor, because their cells are
+valid by construction: binarize, hadamard, ew_add and ew_sub map valid
+cells to valid cells (or raise), and the adjacency, distance and
+utilization builders emit only 0/1 flags, hop counts, INF and counts, with
+``has_inf`` known from the work itself.  Their rows are tuples of ints (or
+INF), as the public constructor would leave them.
 """
 
 from __future__ import annotations
@@ -118,6 +128,17 @@ class CountMatrix:
     def _cell_domain() -> str:
         return "a nonnegative integer or INF"
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[ExtendedCount, ...], ...], has_inf: bool):
+        # For cells netmat itself computed (module docstring): rows must be
+        # an n-tuple of n-tuples of valid cells and has_inf exact.
+        m = object.__new__(cls)
+        # Writing the instance dict skips the frozen __setattr__ as well.
+        fields = m.__dict__
+        fields["cells"] = rows
+        fields["has_inf"] = has_inf
+        return m
+
     @property
     def n(self) -> int:
         return len(self.cells)
@@ -173,7 +194,8 @@ _BIT = {0: 0, INF: 0}.get
 
 def binarize(m: CountMatrix) -> BinaryMatrix:
     """1 where the cell is a finite positive count, 0 where it is 0 or INF."""
-    return BinaryMatrix(tuple(tuple(map(_BIT, row, repeat(1))) for row in m.cells))
+    rows = tuple(tuple(map(_BIT, row, repeat(1))) for row in m.cells)
+    return BinaryMatrix._trusted(rows, False)
 
 
 # The _*_rows functions are the elementwise operations on row tuples, given
@@ -199,7 +221,9 @@ def hadamard(x: CountMatrix, y: CountMatrix) -> CountMatrix:
         if isinstance(x, BinaryMatrix) and isinstance(y, BinaryMatrix)
         else CountMatrix
     )
-    return cls(_hadamard_rows(x.cells, y.cells, x.has_inf or y.has_inf))
+    # Every INF cell either raises or stays INF.
+    has_inf = x.has_inf or y.has_inf
+    return cls._trusted(_hadamard_rows(x.cells, y.cells, has_inf), has_inf)
 
 
 def _hadamard_rows(x, y, has_inf: bool) -> tuple[tuple, ...]:
@@ -223,7 +247,7 @@ def _hadamard_rows(x, y, has_inf: bool) -> tuple[tuple, ...]:
 def ew_add(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     """Elementwise sum; both operands must be finite everywhere."""
     _same_dimension(x, y)
-    return CountMatrix(_add_rows(x.cells, y.cells, x.has_inf or y.has_inf))
+    return CountMatrix._trusted(_add_rows(x.cells, y.cells, x.has_inf or y.has_inf), False)
 
 
 def _add_rows(x, y, has_inf: bool) -> tuple[tuple[int, ...], ...]:
@@ -244,7 +268,9 @@ def ew_sub(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     InfiniteOperand.
     """
     _same_dimension(x, y)
-    return CountMatrix(_sub_rows(x.cells, y.cells, x.has_inf or y.has_inf))
+    # The result is INF exactly where x is.
+    rows = _sub_rows(x.cells, y.cells, x.has_inf or y.has_inf)
+    return CountMatrix._trusted(rows, x.has_inf)
 
 
 def _sub_rows(x, y, has_inf: bool) -> tuple[tuple, ...]:

@@ -87,12 +87,10 @@ class StructureBundle:
 
 def build_adjacency(g: Graph) -> BinaryMatrix:
     """Adjacency matrix of the graph; not necessarily symmetric."""
-    return BinaryMatrix(
-        tuple(
-            tuple(1 if (i, j) in g.edges else 0 for j in range(g.n))
-            for i in range(g.n)
-        )
-    )
+    rows = [[0] * g.n for _ in range(g.n)]
+    for i, j in g.edges:
+        rows[i][j] = 1
+    return BinaryMatrix._trusted(tuple(map(tuple, rows)), False)
 
 
 def distance_matrix(a: BinaryMatrix) -> CountMatrix:
@@ -104,11 +102,13 @@ def distance_matrix(a: BinaryMatrix) -> CountMatrix:
     n = a.n
     succ = [list(compress(range(n), row)) for row in a.cells]
     rows = []
+    has_inf = False
     for src in range(n):
         dist = [INF] * n
         dist[src] = 0
         frontier = [src]
         hops = 0
+        seen = 1
         while frontier:
             hops += 1
             reached = []
@@ -118,8 +118,10 @@ def distance_matrix(a: BinaryMatrix) -> CountMatrix:
                         dist[w] = hops
                         reached.append(w)
             frontier = reached
+            seen += len(reached)
         rows.append(tuple(dist))
-    return CountMatrix(tuple(rows))
+        has_inf = has_inf or seen < n
+    return CountMatrix._trusted(tuple(rows), has_inf)
 
 
 def external_matrix(p: CountMatrix, a: BinaryMatrix) -> CountMatrix:

@@ -17,8 +17,13 @@ after it.  w is the smallest of 8, 16, 32 and 64 bits that holds the number
 of trajectories.  A trajectory never repeats a node, so it adds at most 1 to
 any cell, no cell exceeds the trajectory count and no field carries into
 its neighbour.  Construction then cross-checks the unpacked matrices
-against their algebraic reconstructions and refuses to return a bundle that
-violates one.
+against their algebraic reconstructions, computed as row tuples, and
+refuses to return a bundle that violates one.
+
+Unpacked counts are nonnegative ints by construction, so every matrix of
+the bundle is built without a validating scan (see ``netmat.matrices``).
+With 8-bit fields the hats come straight from the row bytes, each nonzero
+byte translated to 1.
 """
 
 from __future__ import annotations
@@ -34,7 +39,14 @@ from .errors import (
     TooShort,
     TrajectoryError,
 )
-from .matrices import BinaryMatrix, CountMatrix, binarize, ew_add, hadamard
+from .matrices import (
+    BinaryMatrix,
+    CountMatrix,
+    _add_rows,
+    _hadamard_rows,
+    _same_dimension,
+    binarize,
+)
 from .structure import Graph, StructureBundle
 
 
@@ -108,25 +120,38 @@ class UtilizationBundle:
 _TYPECODES = {array(c).itemsize: c for c in "QLIH"}
 
 
-def _unpack(rows: list[int], n: int, w: int) -> CountMatrix:
+# bytes.translate table mapping every nonzero byte to 1.
+_HAT = bytes([0]) + bytes([1]) * 255
+
+
+def _unpack(rows: list[int], n: int, w: int) -> tuple[CountMatrix, BinaryMatrix]:
+    # One packed matrix as its count matrix and that matrix's hat.
     size = n * w // 8
     if w == 8:
         # One byte per field: the little-endian bytes are the row's cells.
-        return CountMatrix(tuple(r.to_bytes(size, "little") for r in rows))
+        raw = [r.to_bytes(size, "little") for r in rows]
+        hat = [b.translate(_HAT) for b in raw]
+        return (
+            CountMatrix._trusted(tuple(map(tuple, raw)), False),
+            BinaryMatrix._trusted(tuple(map(tuple, hat)), False),
+        )
     # In native byte order memoryview reads each field as one item; on a
     # big-endian host the bytes list the last column first.
     code = _TYPECODES[w // 8]
     cells = tuple(
-        memoryview(r.to_bytes(size, sys.byteorder)).cast(code).tolist() for r in rows
+        tuple(memoryview(r.to_bytes(size, sys.byteorder)).cast(code).tolist())
+        for r in rows
     )
     if sys.byteorder == "big":
         cells = tuple(row[::-1] for row in cells)
-    return CountMatrix(cells)
+    m = CountMatrix._trusted(cells, False)
+    return m, binarize(m)
 
 
-def _count_all(d: Dataset) -> tuple[CountMatrix, ...]:
-    # Column j of a packed row is the field at bit w*j (module docstring).
-    # The direct / indirect split uses the dataset's own edge set.
+def _count_all(d: Dataset) -> tuple[tuple[CountMatrix, BinaryMatrix], ...]:
+    # F, D, L, T and Tc, each with its hat.  Column j of a packed row is
+    # the field at bit w*j (module docstring).  The direct / indirect split
+    # uses the dataset's own edge set.
     n = d.graph.n
     w = 8
     while len(d.trajectories) >> w:
@@ -154,10 +179,10 @@ def _count_all(d: Dataset) -> tuple[CountMatrix, ...]:
     return tuple(_unpack(rows, n, w) for rows in (f, dd, l, t, tc))
 
 
-def _cross_check(name: str, counted: CountMatrix, derived: CountMatrix) -> None:
-    if counted.cells == derived.cells:
+def _cross_check(name: str, counted: CountMatrix, derived: tuple[tuple, ...]) -> None:
+    if counted.cells == derived:
         return
-    for i, (cr, dr) in enumerate(zip(counted.cells, derived.cells)):
+    for i, (cr, dr) in enumerate(zip(counted.cells, derived)):
         for j, (a, b) in enumerate(zip(cr, dr)):
             if a != b:
                 raise CrossCheckFailure(
@@ -172,23 +197,26 @@ def build_utilization(d: Dataset, s: StructureBundle) -> UtilizationBundle:
     (T = A o L, Tc = Ehat o D, L = T + Tc, D = F + T + Tc); any disagreement
     raises CrossCheckFailure naming the identity and the witness cell.
     """
-    f, dd, l, t, tc = _count_all(d)
-    _cross_check("T = A o L", t, hadamard(s.A, l))
-    _cross_check("Tc = Ehat o D", tc, hadamard(s.Ehat, dd))
-    _cross_check("L = T + Tc", l, ew_add(t, tc))
+    (f, fhat), (dd, dhat), (l, lhat), (t, that), (tc, tchat) = _count_all(d)
+    # Counts are finite, so only a structure matrix could hold INF.
+    _same_dimension(s.A, l)
+    _cross_check("T = A o L", t, _hadamard_rows(s.A.cells, l.cells, s.A.has_inf))
+    _same_dimension(s.Ehat, dd)
+    _cross_check("Tc = Ehat o D", tc, _hadamard_rows(s.Ehat.cells, dd.cells, s.Ehat.has_inf))
+    _cross_check("L = T + Tc", l, _add_rows(t.cells, tc.cells, False))
     # L has just matched T + Tc cell for cell, so F + L is F + T + Tc.
-    _cross_check("D = F + T + Tc", dd, ew_add(f, l))
+    _cross_check("D = F + T + Tc", dd, _add_rows(f.cells, l.cells, False))
     return UtilizationBundle(
         F=f,
         D=dd,
         L=l,
         T=t,
         Tc=tc,
-        Fhat=binarize(f),
-        Dhat=binarize(dd),
-        Lhat=binarize(l),
-        That=binarize(t),
-        Tchat=binarize(tc),
+        Fhat=fhat,
+        Dhat=dhat,
+        Lhat=lhat,
+        That=that,
+        Tchat=tchat,
     )
 
 

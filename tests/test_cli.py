@@ -296,6 +296,47 @@ class TestHunt:
         assert report["found"] is False and report["witness"] is None
         assert not (out / "graph.txt").exists()
 
+    # sha256 of hunt_report.json, graph.txt and trajectories.txt for each
+    # id that falls at --budget 100 --seed 0, pinned from an earlier release:
+    # the search and the shrinker must keep finding the same minimized
+    # datasets.
+    HUNT_FILES = ("hunt_report.json", "graph.txt", "trajectories.txt")
+    HUNT_DIGESTS = {
+        "CLAIMED.D_TC": (
+            "4bab40fbb1f89c1e20f9d921af8462e114554de4ba6b007b1f46b52e5aa936d1",
+            "7d4ffa0e89d2922f92c6eae4894a9ad19603c8065cae5d4c045d281d507c6061",
+            "9218fee952abc69b998cf99342bcd171982e64568abd74a0af52a15697039aaa",
+        ),
+        "CLAIMED.L_TC": (
+            "044a9a29a2604f61266dcee78abb0f999862a19a162a1803a239f4a71364e3a7",
+            "7d4ffa0e89d2922f92c6eae4894a9ad19603c8065cae5d4c045d281d507c6061",
+            "9218fee952abc69b998cf99342bcd171982e64568abd74a0af52a15697039aaa",
+        ),
+        "FU.DHAT_EQ_PHAT": (
+            "256fb6ae790aa9f4a114cf12ba0be393a9a9e4807b76a14f02d417bd94274061",
+            "d41edcc6a094b876d9d5ba355016b9e3bd3d702c697afdf2f1e16dbe76d72dc1",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        "FU.FHAT_EQ_A": (
+            "6eb4d4beb8dabcc582ab3efb27320f106ffc44d98198e4ff84e70ef842e64822",
+            "d41edcc6a094b876d9d5ba355016b9e3bd3d702c697afdf2f1e16dbe76d72dc1",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        "X.EHAT_L_NEQ_L": (
+            "4c79e0cce660a952aa082ea457c2a0d41eaabb996468716f8f102779f2bd3234",
+            "857d68ad63e42ca29720821616748e654a16e22070ca0a6c07274b0e2727f03e",
+            "1ba09550c8a39d72e13e1aefd59cb5ccd639ad8d737cd8c4b93149d4b87d3333",
+        ),
+    }
+
+    @pytest.mark.parametrize("identity", sorted(HUNT_DIGESTS))
+    def test_hunt_outputs_pinned(self, tmp_path, identity):
+        out = tmp_path / "h"
+        argv = ["hunt", identity, "--budget", "100", "--seed", "0", "--out", str(out), "--quiet"]
+        assert main(argv) == 0
+        digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in self.HUNT_FILES)
+        assert digests == self.HUNT_DIGESTS[identity]
+
     def test_unknown_identity_exits_2(self, tmp_path, capsys):
         assert main(["hunt", "NO_SUCH_ID", "--out", str(tmp_path / "h")]) == 2
         assert "no catalogued identity" in capsys.readouterr().err

@@ -134,6 +134,19 @@ class TestMatrixCsv:
         with pytest.raises(ParseError, match="duplicate node label 'a'"):
             matrix_from_csv(",a,a\na,0,0\na,0,0\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("a\rb\n", 1),  # bare CR inside the header
+            (",a\na,0\rx\n", 2),  # bare CR inside a data row
+        ],
+    )
+    def test_csv_reader_error_is_parse_error(self, text, line):
+        with pytest.raises(ParseError, match="malformed CSV") as exc:
+            matrix_from_csv(text, source="m.csv")
+        assert exc.value.source == "m.csv"
+        assert exc.value.line == line
+
 
 class TestMatrixJson:
     def test_round_trip_with_null_for_inf(self):

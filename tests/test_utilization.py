@@ -6,20 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmat import (
+    INF,
     Dataset,
     Graph,
     Trajectory,
     build_structure,
     build_utilization,
     gen_dataset,
+    utilization,
 )
 from netmat.errors import CrossCheckFailure, MissingEdge, RepeatedNode, TooShort
 from netmat.generators import GenConfig
-from netmat.matrices import CountMatrix, ew_add, hadamard
+from netmat.matrices import BinaryMatrix, CountMatrix, ew_add, hadamard
 from netmat.utilization import is_fully_utilized, validate_trajectory
 
 from oracles import (
     alternative_route_matrix,
+    binarize_cells,
     ew_leq,
     flow_matrix,
     indirect_flow_matrix,
@@ -45,6 +48,42 @@ def dataset_from_seed(seed, max_n=10, max_traj=20):
 
 
 seeds = st.integers(0, 2**32 - 1)
+
+
+def assert_bundle_cells(s, u):
+    """The invariants the validating constructor would enforce, checked on
+    every matrix of both bundles, plus each hat against the per-cell oracle."""
+    n = s.A.n
+    env = {**vars(s), **vars(u)}
+    for name, m in env.items():
+        assert type(m.cells) is tuple and len(m.cells) == n, name
+        for row in m.cells:
+            assert type(row) is tuple and len(row) == n, name
+            for v in row:
+                if isinstance(m, BinaryMatrix):
+                    assert type(v) is int and v in (0, 1), (name, v)
+                else:
+                    assert v is INF or (type(v) is int and v >= 0), (name, v)
+        assert m.has_inf == any(v is INF for row in m.cells for v in row), name
+        rebuilt = type(m)(m.cells)
+        assert rebuilt == m and rebuilt.has_inf == m.has_inf, name
+    hats = {"Phat": "P", "Ehat": "E", "Fhat": "F", "Dhat": "D", "Lhat": "L",
+            "That": "T", "Tchat": "Tc"}
+    for hat, count in hats.items():
+        assert env[hat] == binarize_cells(env[count]), hat
+
+
+configs = st.builds(
+    lambda n, p, max_traj, max_len, seed: GenConfig(
+        n=n, edge_prob=p, max_traj=max_traj, max_len=min(max_len, n),
+        allow_duplicates=True, seed=seed,
+    ),
+    st.integers(1, 9),
+    st.floats(0.0, 1.0),
+    st.integers(0, 30),
+    st.integers(0, 9),
+    seeds,
+)
 
 
 class TestValidation:
@@ -188,6 +227,47 @@ class TestBundle:
             build_utilization(d, wrong)
         assert "cell" in str(exc.value)
 
+    # A cell of one counted matrix raised by one, and the cross-check that
+    # must name it, on the shortcut dataset: T(B, D) and Tc(A, C) are 1,
+    # A(A, C) = 0 and Ehat(A, B) = 0, so only the named check sees the change.
+    @pytest.mark.parametrize(
+        "index, cell, name",
+        [
+            (0, (0, 1), "D = F + T + Tc"),  # F
+            (1, (0, 1), "D = F + T + Tc"),  # D
+            (2, (0, 2), "L = T + Tc"),  # L
+            (3, (1, 3), "T = A o L"),  # T
+            (4, (0, 2), "Tc = Ehat o D"),  # Tc
+        ],
+    )
+    def test_corrupted_count_names_its_cross_check(
+        self, monkeypatch, shortcut_dataset, shortcut_structure, index, cell, name
+    ):
+        count_all = utilization._count_all
+
+        def corrupted(d):
+            pairs = list(count_all(d))
+            m, hat = pairs[index]
+            rows = [list(row) for row in m.cells]
+            i, j = cell
+            rows[i][j] += 1
+            pairs[index] = (CountMatrix(rows), hat)
+            return tuple(pairs)
+
+        monkeypatch.setattr(utilization, "_count_all", corrupted)
+        with pytest.raises(CrossCheckFailure) as exc:
+            build_utilization(shortcut_dataset, shortcut_structure)
+        assert str(exc.value).startswith(f"{name} violated at cell {cell}: ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(configs, st.sampled_from([1, 300]))
+    def test_bundle_cells_valid_by_construction(self, cfg, copies):
+        # 300 copies of a nonempty trajectory list count in 16-bit fields.
+        d = gen_dataset(cfg)
+        d = Dataset(d.graph, d.trajectories * copies)
+        s = build_structure(d.graph)
+        assert_bundle_cells(s, build_utilization(d, s))
+
     @settings(max_examples=50, deadline=None)
     @given(seeds)
     def test_cross_checks_pass_on_random_datasets(self, seed):
@@ -271,6 +351,7 @@ class TestFieldWidth:
     def test_three_node_path(self, copies):
         d = Dataset(self.chain4, (Trajectory((0, 1, 2)),) * copies)
         u = build_utilization(d, build_structure(self.chain4))
+        assert_bundle_cells(build_structure(self.chain4), u)
         c = copies
         assert u.F == _matrix(4, {(0, 1): c, (1, 2): c})
         assert u.D == _matrix(4, {(0, 1): c, (0, 2): c, (1, 2): c})
@@ -282,6 +363,7 @@ class TestFieldWidth:
     def test_two_node_path(self, copies):
         d = Dataset(self.chain4, (Trajectory((1, 2)),) * copies)
         u = build_utilization(d, build_structure(self.chain4))
+        assert_bundle_cells(build_structure(self.chain4), u)
         assert u.F == u.D == _matrix(4, {(1, 2): copies})
         assert u.L == u.T == u.Tc == _matrix(4, {})
 
