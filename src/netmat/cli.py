@@ -132,7 +132,7 @@ def _merge_gen_config(args) -> GenConfig:
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ParseError(f"invalid JSON: {e}", source=str(args.config)) from e
         if not isinstance(loaded, dict):
             raise ParseError("config must be a JSON object", source=str(args.config))

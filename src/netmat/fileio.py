@@ -269,6 +269,6 @@ def matrix_from_json_obj(
 def matrix_from_json(text: str, source: str = "<matrix>"):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ParseError(f"invalid JSON: {e}", source) from e
     return matrix_from_json_obj(obj, source)

@@ -9,17 +9,13 @@ An expression is either a symbol name or an (op, lhs, rhs) triple with op
 one of "had" (Hadamard product), "add", "sub".  Relations are "eq" (exact
 cell equality) or "leq" (elementwise order).
 
-Each spec is compiled once, and cached by spec, into functions over row
-tuples: an operator maps operator.mul, add or sub over paired rows of the
-bundles' matrices, whose cells are valid by construction, and no
-intermediate matrix is built.
-Operands holding INF go through per-cell loops with the semantics of
-hadamard, ew_add and ew_sub: INF * 0 raises UndefinedProduct (prefixed with
-the spec id), INF in a sum raises InfiniteOperand, and a difference raises
-NegativeResult or InfiniteOperand, each naming the cell.  Both sides are
-computed in full before any cell is compared, so such an exception is
-raised even when an earlier cell in row-major order would be the witness.
-The witness is the first failing cell in row-major order.
+Each spec is compiled once, and cached by spec, into calls of the row
+kernels of ``netmat.matrices`` over the bundles' row tuples, so no
+intermediate matrix is built.  The kernels own the dimension and INF
+rules; an UndefinedProduct is re-raised prefixed with the spec id.  Both
+sides are computed in full before any cell is compared, so such an
+exception is raised even when an earlier cell in row-major order would be
+the witness.  The witness is the first failing cell in row-major order.
 
 Catalogue classes:
 
@@ -40,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .errors import DimensionMismatch, ParseError, UndefinedProduct, UnknownIdentity
+from .errors import ParseError, UndefinedProduct, UnknownIdentity
 from .fileio import cell_to_json
 from .generators import GenConfig, gen_dataset
 from .matrices import CountMatrix, _add_rows, _hadamard_rows, _sub_rows
@@ -331,15 +327,7 @@ def _symbol_table(s: StructureBundle, u: UtilizationBundle) -> dict[str, CountMa
     return {**vars(s), **vars(u), "0": _zero_matrix(s.A.n)}
 
 
-# Each operator's row function and whether its result holds INF, given
-# whether each operand does.  A product keeps every INF cell (INF * 0
-# raises), a sum has none (an INF operand raises), and a difference keeps
-# the INF cells of its left operand (INF - INF and finite - INF raise).
-_ROW_OPS = {
-    "had": (_hadamard_rows, operator.or_),
-    "add": (_add_rows, lambda xi, yi: False),
-    "sub": (_sub_rows, lambda xi, yi: xi),
-}
+_ROW_OPS = {"had": _hadamard_rows, "add": _add_rows, "sub": _sub_rows}
 
 
 def _compile_expr(expr):
@@ -353,14 +341,10 @@ def _compile_expr(expr):
         return leaf
     op, lhs, rhs = expr
     left, right = _compile_expr(lhs), _compile_expr(rhs)
-    rows_of, result_inf = _ROW_OPS[op]
+    rows_of = _ROW_OPS[op]
 
     def node(env):
-        x, x_inf = left(env)
-        y, y_inf = right(env)
-        if len(x) != len(y):
-            raise DimensionMismatch(f"{len(x)}x{len(x)} vs {len(y)}x{len(y)}")
-        return rows_of(x, y, x_inf or y_inf), result_inf(x_inf, y_inf)
+        return rows_of(*left(env), *right(env))
 
     return node
 

@@ -6,22 +6,29 @@ BinaryMatrix restricts every cell to {0, 1} and converts implicitly toward
 counts because it simply is one.  All values are immutable and every
 operation is a pure function, so matrices are safe to share across threads.
 
-Cells are validated where data comes in: the public CountMatrix and
-BinaryMatrix constructors, ``zeros`` and the matrix parsers of ``fileio``.
-Matrices the package computes from matrices it already holds skip that
-scan through the private ``_trusted`` constructor, because their cells are
-valid by construction: binarize, hadamard, ew_add and ew_sub map valid
+Cells are validated where data comes in, and only there: the public
+CountMatrix and BinaryMatrix constructors and the two matrix parsers of
+``fileio`` run one per-cell loop, which names the first bad row or cell.
+Matrices the package computes from matrices it already holds skip that loop
+through the private ``_trusted`` constructor, because their cells are valid
+by construction: ``zeros``, binarize, hadamard, ew_add and ew_sub map valid
 cells to valid cells (or raise), and the adjacency, distance and
 utilization builders emit only 0/1 flags, hop counts, INF and counts, with
 ``has_inf`` known from the work itself.  Their rows are tuples of ints (or
 INF), as the public constructor would leave them.
+
+The row kernels ``_hadamard_rows``, ``_add_rows`` and ``_sub_rows`` are the
+only code that knows the elementwise rules: they check that the operands'
+dimensions agree, decide which cells raise, and say whether the result
+holds INF.  The wrappers, the identity evaluator and the utilization
+cross-checks all call them.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 
 from .errors import (
     DimensionMismatch,
@@ -80,53 +87,26 @@ class CountMatrix:
     cells: tuple[tuple[ExtendedCount, ...], ...]
     has_inf: bool = field(init=False, repr=False)
 
+    # Domain of a valid cell, for error messages; see _cell_ok.
+    _DOMAIN = "a nonnegative integer or INF"
+
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.cells)
         object.__setattr__(self, "cells", rows)
         n = len(rows)
         if n < 1:
             raise ValueError("matrix dimension must be at least 1")
-        has_inf = None
-        if set(map(len, rows)) == {n}:
-            has_inf = self._fast_check(rows)
-        if has_inf is None:
-            # The per-cell loop raises naming the first bad row or cell.
-            self._slow_check(rows, n)
-            has_inf = any(v is INF for row in rows for v in row)
-        object.__setattr__(self, "has_inf", has_inf)
-
-    @staticmethod
-    def _fast_check(rows) -> bool | None:
-        # Whole-matrix form of _cell_ok over every cell: whether the matrix
-        # holds INF, or None when some cell may be bad.
-        types = set(map(type, chain.from_iterable(rows)))
-        if types == {int}:
-            return False if min(chain.from_iterable(rows)) >= 0 else None
-        if not types <= {int, _Unreachable}:
-            return None
-        values = set(chain.from_iterable(rows))
-        values.discard(INF)
-        if any(type(v) is not int or v < 0 for v in values):
-            return None
-        return True
-
-    def _slow_check(self, rows, n: int) -> None:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {n}")
             for j, v in enumerate(row):
                 if not self._cell_ok(v):
-                    raise ValueError(
-                        f"cell ({i}, {j}) = {v!r} is not {self._cell_domain()}"
-                    )
+                    raise ValueError(f"cell ({i}, {j}) = {v!r} is not {self._DOMAIN}")
+        object.__setattr__(self, "has_inf", any(v is INF for row in rows for v in row))
 
     @staticmethod
     def _cell_ok(v) -> bool:
         return v is INF or (type(v) is int and v >= 0)
-
-    @staticmethod
-    def _cell_domain() -> str:
-        return "a nonnegative integer or INF"
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[ExtendedCount, ...], ...], has_inf: bool):
@@ -161,31 +141,17 @@ class CountMatrix:
         """All-zero matrix of dimension n."""
         if n < 1:
             raise ValueError("matrix dimension must be at least 1")
-        return cls(((0,) * n,) * n)
+        return cls._trusted(((0,) * n,) * n, False)
 
 
 class BinaryMatrix(CountMatrix):
     """Count matrix whose every cell is 0 or 1."""
 
-    @staticmethod
-    def _fast_check(rows) -> bool | None:
-        types = set(map(type, chain.from_iterable(rows)))
-        if types == {int} and set(chain.from_iterable(rows)) <= {0, 1}:
-            return False
-        return None
+    _DOMAIN = "0 or 1"
 
     @staticmethod
     def _cell_ok(v) -> bool:
         return type(v) is int and (v == 0 or v == 1)
-
-    @staticmethod
-    def _cell_domain() -> str:
-        return "0 or 1"
-
-
-def _same_dimension(x: CountMatrix, y: CountMatrix) -> None:
-    if x.n != y.n:
-        raise DimensionMismatch(f"{x.n}x{x.n} vs {y.n}x{y.n}")
 
 
 # Maps a cell to its binarization: 0 and INF to 0, any other count to 1.
@@ -198,10 +164,16 @@ def binarize(m: CountMatrix) -> BinaryMatrix:
     return BinaryMatrix._trusted(rows, False)
 
 
-# The _*_rows functions are the elementwise operations on row tuples, given
-# whether either operand holds INF; the identity evaluator calls them
-# directly, so it builds no matrix.  Without INF whole rows go through map;
-# with INF per-cell loops raise at the first cell that has no value.
+# The _*_rows kernels take each operand's row tuples and whether it holds
+# INF, and return the result's rows and whether it holds INF; the identity
+# evaluator calls them directly, so it builds no matrix.  Without INF whole
+# rows go through map; with INF per-cell loops raise at the first cell that
+# has no value.
+
+
+def _check_dimensions(x, y) -> None:
+    if len(x) != len(y):
+        raise DimensionMismatch(f"{len(x)}x{len(x)} vs {len(y)}x{len(y)}")
 
 
 def _rowwise(op, x, y) -> tuple[tuple[int, ...], ...]:
@@ -215,20 +187,18 @@ def hadamard(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     meaningful value and raises UndefinedProduct.  The result is binary
     whenever both operands are binary.
     """
-    _same_dimension(x, y)
     cls = (
         BinaryMatrix
         if isinstance(x, BinaryMatrix) and isinstance(y, BinaryMatrix)
         else CountMatrix
     )
-    # Every INF cell either raises or stays INF.
-    has_inf = x.has_inf or y.has_inf
-    return cls._trusted(_hadamard_rows(x.cells, y.cells, has_inf), has_inf)
+    return cls._trusted(*_hadamard_rows(x.cells, x.has_inf, y.cells, y.has_inf))
 
 
-def _hadamard_rows(x, y, has_inf: bool) -> tuple[tuple, ...]:
-    if not has_inf:
-        return _rowwise(operator.mul, x, y)
+def _hadamard_rows(x, x_inf: bool, y, y_inf: bool) -> tuple[tuple[tuple, ...], bool]:
+    _check_dimensions(x, y)
+    if not (x_inf or y_inf):
+        return _rowwise(operator.mul, x, y), False
     rows = []
     for i, (xr, yr) in enumerate(zip(x, y)):
         row = []
@@ -241,22 +211,23 @@ def _hadamard_rows(x, y, has_inf: bool) -> tuple[tuple, ...]:
             else:
                 row.append(a * b)
         rows.append(tuple(row))
-    return tuple(rows)
+    # Every INF cell either raised or stayed INF.
+    return tuple(rows), True
 
 
 def ew_add(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     """Elementwise sum; both operands must be finite everywhere."""
-    _same_dimension(x, y)
-    return CountMatrix._trusted(_add_rows(x.cells, y.cells, x.has_inf or y.has_inf), False)
+    return CountMatrix._trusted(*_add_rows(x.cells, x.has_inf, y.cells, y.has_inf))
 
 
-def _add_rows(x, y, has_inf: bool) -> tuple[tuple[int, ...], ...]:
-    if has_inf:
+def _add_rows(x, x_inf: bool, y, y_inf: bool) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    _check_dimensions(x, y)
+    if x_inf or y_inf:
         for i, (xr, yr) in enumerate(zip(x, y)):
             for j, (a, b) in enumerate(zip(xr, yr)):
                 if a is INF or b is INF:
                     raise InfiniteOperand(f"INF operand at cell ({i}, {j})")
-    return _rowwise(operator.add, x, y)
+    return _rowwise(operator.add, x, y), False
 
 
 def ew_sub(x: CountMatrix, y: CountMatrix) -> CountMatrix:
@@ -267,17 +238,15 @@ def ew_sub(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     with an INF y cell, raises NegativeResult; INF - INF raises
     InfiniteOperand.
     """
-    _same_dimension(x, y)
-    # The result is INF exactly where x is.
-    rows = _sub_rows(x.cells, y.cells, x.has_inf or y.has_inf)
-    return CountMatrix._trusted(rows, x.has_inf)
+    return CountMatrix._trusted(*_sub_rows(x.cells, x.has_inf, y.cells, y.has_inf))
 
 
-def _sub_rows(x, y, has_inf: bool) -> tuple[tuple, ...]:
-    if not has_inf:
+def _sub_rows(x, x_inf: bool, y, y_inf: bool) -> tuple[tuple[tuple, ...], bool]:
+    _check_dimensions(x, y)
+    if not (x_inf or y_inf):
         rows = _rowwise(operator.sub, x, y)
         if min(map(min, rows)) >= 0:
-            return rows
+            return rows, False
     rows = []
     for i, (xr, yr) in enumerate(zip(x, y)):
         row = []
@@ -291,5 +260,5 @@ def _sub_rows(x, y, has_inf: bool) -> tuple[tuple, ...]:
             else:
                 row.append(a - b)
         rows.append(tuple(row))
-    return tuple(rows)
-
+    # The result is INF exactly where x is.
+    return tuple(rows), x_inf

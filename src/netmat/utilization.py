@@ -44,7 +44,6 @@ from .matrices import (
     CountMatrix,
     _add_rows,
     _hadamard_rows,
-    _same_dimension,
     binarize,
 )
 from .structure import Graph, StructureBundle
@@ -199,13 +198,13 @@ def build_utilization(d: Dataset, s: StructureBundle) -> UtilizationBundle:
     """
     (f, fhat), (dd, dhat), (l, lhat), (t, that), (tc, tchat) = _count_all(d)
     # Counts are finite, so only a structure matrix could hold INF.
-    _same_dimension(s.A, l)
-    _cross_check("T = A o L", t, _hadamard_rows(s.A.cells, l.cells, s.A.has_inf))
-    _same_dimension(s.Ehat, dd)
-    _cross_check("Tc = Ehat o D", tc, _hadamard_rows(s.Ehat.cells, dd.cells, s.Ehat.has_inf))
-    _cross_check("L = T + Tc", l, _add_rows(t.cells, tc.cells, False))
+    _cross_check("T = A o L", t, _hadamard_rows(s.A.cells, s.A.has_inf, l.cells, False)[0])
+    _cross_check(
+        "Tc = Ehat o D", tc, _hadamard_rows(s.Ehat.cells, s.Ehat.has_inf, dd.cells, False)[0]
+    )
+    _cross_check("L = T + Tc", l, _add_rows(t.cells, False, tc.cells, False)[0])
     # L has just matched T + Tc cell for cell, so F + L is F + T + Tc.
-    _cross_check("D = F + T + Tc", dd, _add_rows(f.cells, l.cells, False))
+    _cross_check("D = F + T + Tc", dd, _add_rows(f.cells, False, l.cells, False)[0])
     return UtilizationBundle(
         F=f,
         D=dd,

@@ -1,8 +1,9 @@
 """Test-only second implementations kept independent of the library code paths."""
 
 from netmat import INF, Dataset, InfiniteOperand, NegativeResult, UndefinedProduct
+from netmat.errors import DimensionMismatch
 from netmat.identities import IdentitySpec, IdentityVerdict, Witness
-from netmat.matrices import BinaryMatrix, CountMatrix, _same_dimension
+from netmat.matrices import BinaryMatrix, CountMatrix
 from netmat.structure import StructureBundle
 from netmat.utilization import UtilizationBundle
 
@@ -91,6 +92,11 @@ def ew_sub_cells(x: CountMatrix, y: CountMatrix) -> CountMatrix:
 
 
 # Whole-matrix predicates the tests assert with.
+
+
+def _same_dimension(x: CountMatrix, y: CountMatrix) -> None:
+    if x.n != y.n:
+        raise DimensionMismatch(f"{x.n}x{x.n} vs {y.n}x{y.n}")
 
 
 def ew_leq(x: CountMatrix, y: CountMatrix) -> bool:

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from netmat import INF, InfiniteOperand, NegativeResult, NetmatError, UndefinedProduct
@@ -169,8 +169,10 @@ class TestHadamard:
         assert m.cells == ((INF, INF), (INF, INF))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^2x2 vs 3x3$"):
             hadamard(CountMatrix.zeros(2), CountMatrix.zeros(3))
+        with pytest.raises(DimensionMismatch, match=r"^3x3 vs 2x2$"):
+            hadamard(CountMatrix.zeros(3), CountMatrix.zeros(2))
 
     def test_binary_operands_give_binary_result(self):
         out = hadamard(BinaryMatrix(((1, 0), (1, 1))), BinaryMatrix(((1, 1), (0, 1))))
@@ -226,15 +228,32 @@ class TestAddSub:
             ew_sub(CountMatrix(((INF,),)), CountMatrix(((INF,),)))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^2x2 vs 3x3$"):
             ew_add(CountMatrix.zeros(2), CountMatrix.zeros(3))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^3x3 vs 2x2$"):
+            ew_add(CountMatrix.zeros(3), CountMatrix.zeros(2))
+        with pytest.raises(DimensionMismatch, match=r"^2x2 vs 3x3$"):
             ew_sub(CountMatrix.zeros(2), CountMatrix.zeros(3))
+        with pytest.raises(DimensionMismatch, match=r"^3x3 vs 2x2$"):
+            ew_sub(CountMatrix.zeros(3), CountMatrix.zeros(2))
 
     @given(matrix_pairs())
     def test_add_then_sub_round_trips(self, pair):
         x, y = pair
         assert ew_sub(ew_add(x, y), y) == x
+
+    # INF - 1 is one of the rare pairs of INF operands that ew_sub accepts.
+    @example((CountMatrix(((INF,),)), CountMatrix(((1,),))))
+    @given(matrix_pairs(allow_inf=True))
+    def test_result_has_inf_matches_its_cells(self, pair):
+        # Matrix == compares cells only, so the oracle tests cannot see a
+        # wrong has_inf flag.
+        for op in (hadamard, ew_add, ew_sub):
+            try:
+                m = op(*pair)
+            except NetmatError:
+                continue
+            assert m.has_inf == any(v is INF for row in m.cells for v in row)
 
 
 class TestOrder:

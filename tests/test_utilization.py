@@ -15,7 +15,13 @@ from netmat import (
     gen_dataset,
     utilization,
 )
-from netmat.errors import CrossCheckFailure, MissingEdge, RepeatedNode, TooShort
+from netmat.errors import (
+    CrossCheckFailure,
+    DimensionMismatch,
+    MissingEdge,
+    RepeatedNode,
+    TooShort,
+)
 from netmat.generators import GenConfig
 from netmat.matrices import BinaryMatrix, CountMatrix, ew_add, hadamard
 from netmat.utilization import is_fully_utilized, validate_trajectory
@@ -226,6 +232,13 @@ class TestBundle:
         with pytest.raises(CrossCheckFailure) as exc:
             build_utilization(d, wrong)
         assert "cell" in str(exc.value)
+
+    def test_structure_of_other_dimension_is_a_dimension_mismatch(
+        self, chain3_graph, shortcut_structure
+    ):
+        d = Dataset(chain3_graph, (Trajectory((0, 1, 2)),))
+        with pytest.raises(DimensionMismatch, match=r"^4x4 vs 3x3$"):
+            build_utilization(d, shortcut_structure)
 
     # A cell of one counted matrix raised by one, and the cross-check that
     # must name it, on the shortcut dataset: T(B, D) and Tc(A, C) are 1,
