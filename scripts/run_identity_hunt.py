@@ -3,6 +3,7 @@
 
 Universal relations are expected to survive the whole budget; the
 count-level CLAIMED forms and the known-false NEGATIVE form should fall.
+Exits 1 if any UNIVERSAL or MUTUAL_EXCLUSIVITY relation is falsified.
 """
 
 import argparse
@@ -10,7 +11,7 @@ import sys
 import time
 
 from netmat import list_identities
-from netmat.identities import evaluate_on_dataset, search_counterexample
+from netmat.identities import IdentityClass, evaluate_on_dataset, search_counterexample
 
 
 def main() -> int:
@@ -30,6 +31,8 @@ def main() -> int:
             print(f"unknown ids: {', '.join(sorted(missing))}", file=sys.stderr)
             return 2
 
+    gated = (IdentityClass.UNIVERSAL, IdentityClass.MUTUAL_EXCLUSIVITY)
+    violated = []
     print(f"{'identity':<18}{'class':<21}{'outcome'}")
     for spec in specs:
         start = time.perf_counter()
@@ -45,7 +48,12 @@ def main() -> int:
                 f"FALSIFIED at {witness.describe(found.graph.labels)} "
                 f"with {len(found.trajectories)} trajectories ({elapsed:.2f}s)"
             )
+            if spec.kind in gated:
+                violated.append(spec.id)
         print(f"{spec.id:<18}{spec.kind.value:<21}{outcome}")
+    if violated:
+        print(f"\nSOUNDNESS VIOLATED: falsified {', '.join(violated)}")
+        return 1
     return 0
 
 

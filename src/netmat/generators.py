@@ -3,6 +3,12 @@
 Everything here is a pure function of its config and seed: the same inputs
 always produce the same graph or dataset, bit for bit, so sweeps are
 reproducible and independent generations can run in parallel.
+
+Generated graphs, trajectories and datasets are valid by construction: the
+labels are ``v0..v{n-1}``, edges join distinct in-range nodes, and every
+path is a simple walk along edges.  So they are built through the private
+``_trusted`` constructors, which skip the checks that data from outside
+goes through.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ def gen_digraph(cfg: GenConfig) -> Graph:
             if i != j and rng.random() < cfg.edge_prob:
                 edges.add((i, j))
     labels = tuple(f"v{i}" for i in range(cfg.n))
-    return Graph(labels, frozenset(edges))
+    return Graph._trusted(labels, frozenset(edges))
 
 
 def _random_path(
@@ -86,7 +92,7 @@ def _random_path(
             path.append(cur)
             visited.add(cur)
         if len(path) >= 2:
-            return Trajectory(tuple(path))
+            return Trajectory._trusted(tuple(path))
     return None
 
 
@@ -107,7 +113,7 @@ def _with_random_paths(
             continue
         seen.add(t.nodes)
         trajectories.append(t)
-    return Dataset(g, tuple(trajectories))
+    return Dataset._trusted(g, tuple(trajectories))
 
 
 def gen_dataset(cfg: GenConfig) -> Dataset:
@@ -136,7 +142,7 @@ def _shortest_path_cover(g: Graph) -> list[Trajectory]:
             while path[-1] != src:
                 path.append(parent[path[-1]])
             path.reverse()
-            cover.append(Trajectory(tuple(path)))
+            cover.append(Trajectory._trusted(tuple(path)))
     return cover
 
 
@@ -149,7 +155,7 @@ def gen_fully_utilized(cfg: GenConfig) -> Dataset:
     the pair cover makes the OD binarization equal the reachability matrix.
     """
     g = gen_digraph(cfg)
-    cover = [Trajectory(e) for e in sorted(g.edges)] + _shortest_path_cover(g)
+    cover = [Trajectory._trusted(e) for e in sorted(g.edges)] + _shortest_path_cover(g)
     return _with_random_paths(g, cfg, 0x66756C6C, cover)
 
 

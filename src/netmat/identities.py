@@ -12,10 +12,14 @@ cell equality) or "leq" (elementwise order).
 Each spec is compiled once, and cached by spec, into calls of the row
 kernels of ``netmat.matrices`` over the bundles' row tuples, so no
 intermediate matrix is built.  The kernels own the dimension and INF
-rules; an UndefinedProduct is re-raised prefixed with the spec id.  Both
-sides are computed in full before any cell is compared, so such an
-exception is raised even when an earlier cell in row-major order would be
-the witness.  The witness is the first failing cell in row-major order.
+rules; an UndefinedProduct is re-raised prefixed with the spec id.  An
+audit builds one symbol table per dataset and evaluates every spec over
+it.  Both sides are computed in full before any cell is compared, so such
+an exception is raised even when an earlier cell in row-major order would
+be the witness.  An "eq" relation is decided by one comparison of the two
+sides' row tuples, and rows are walked only when they differ; "leq" walks
+the rows.  The witness is the first failing cell in row-major order.  A
+relation that holds returns its spec's one shared, immutable verdict.
 
 Catalogue classes:
 
@@ -351,7 +355,35 @@ def _compile_expr(expr):
 
 @lru_cache(maxsize=1024)
 def _compile(spec: IdentitySpec):
-    return _compile_expr(spec.lhs), _compile_expr(spec.rhs)
+    # Both sides, plus the one verdict every holding evaluation returns.
+    holds = IdentityVerdict(spec.id, True, spec=spec)
+    return _compile_expr(spec.lhs), _compile_expr(spec.rhs), holds
+
+
+def _le_row(lr, rr) -> bool:
+    return all(map(operator.le, lr, rr))
+
+
+def _evaluate(spec: IdentitySpec, env: dict[str, CountMatrix]) -> IdentityVerdict:
+    lhs_fn, rhs_fn, holds = _compile(spec)
+    try:
+        lhs, _ = lhs_fn(env)
+        rhs, _ = rhs_fn(env)
+    except UndefinedProduct as e:
+        raise UndefinedProduct(f"{spec.id}: {e}") from e
+    if spec.relation == "eq":
+        if lhs == rhs:
+            return holds
+        row_ok, bad = operator.eq, operator.ne
+    else:
+        row_ok, bad = _le_row, operator.gt
+    for i, (lr, rr) in enumerate(zip(lhs, rhs)):
+        if row_ok(lr, rr):
+            continue
+        for j, (a, b) in enumerate(zip(lr, rr)):
+            if bad(a, b):
+                return IdentityVerdict(spec.id, False, Witness(i, j, a, b), spec)
+    return holds
 
 
 def evaluate_identity(
@@ -363,26 +395,7 @@ def evaluate_identity(
     exception anywhere in either side wins over a witness in an earlier
     cell.
     """
-    lhs_fn, rhs_fn = _compile(spec)
-    env = _symbol_table(s, u)
-    try:
-        lhs, _ = lhs_fn(env)
-        rhs, _ = rhs_fn(env)
-    except UndefinedProduct as e:
-        raise UndefinedProduct(f"{spec.id}: {e}") from e
-    if spec.relation == "leq":
-        row_ok = lambda lr, rr: all(map(operator.le, lr, rr))  # noqa: E731
-        bad = lambda a, b: not a <= b  # noqa: E731
-    else:
-        row_ok = operator.eq
-        bad = operator.ne
-    for i, (lr, rr) in enumerate(zip(lhs, rhs)):
-        if row_ok(lr, rr):
-            continue
-        for j, (a, b) in enumerate(zip(lr, rr)):
-            if bad(a, b):
-                return IdentityVerdict(spec.id, False, Witness(i, j, a, b), spec)
-    return IdentityVerdict(spec.id, True, spec=spec)
+    return _evaluate(spec, _symbol_table(s, u))
 
 
 def audit_dataset(
@@ -391,11 +404,13 @@ def audit_dataset(
     """Build both bundles and evaluate every relation of ``specs``.
 
     ``specs`` defaults to the catalogue; any spec list, such as the output
-    of ``specs_from_json``, goes through the same evaluator.
+    of ``specs_from_json``, goes through the same evaluator, over one symbol
+    table built for the dataset.
     """
     s = build_structure(d.graph)
     u = build_utilization(d, s)
-    verdicts = tuple(evaluate_identity(spec, s, u) for spec in specs)
+    env = _symbol_table(s, u)
+    verdicts = tuple(_evaluate(spec, env) for spec in specs)
     descriptor = {
         "name": name,
         "n": d.graph.n,

@@ -177,7 +177,8 @@ def _check_dimensions(x, y) -> None:
 
 
 def _rowwise(op, x, y) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(map(op, xr, yr)) for xr, yr in zip(x, y))
+    # map(op, xr, yr) per row pair, all driven from C: no Python frame per row.
+    return tuple(map(tuple, map(map, repeat(op), x, y)))
 
 
 def hadamard(x: CountMatrix, y: CountMatrix) -> CountMatrix:

@@ -50,6 +50,15 @@ class Graph:
             if i == j:
                 raise ValueError(f"self-loop at node {i} is not allowed")
 
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], edges: frozenset[tuple[int, int]]):
+        # For graphs netmat builds itself (the generators): labels must be a
+        # tuple of distinct tokens and edges a frozenset of in-range index
+        # pairs with no self-loop.
+        g = object.__new__(cls)
+        g.__dict__.update(labels=labels, edges=edges)
+        return g
+
     @property
     def n(self) -> int:
         return len(self.labels)

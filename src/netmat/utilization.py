@@ -66,6 +66,13 @@ class Trajectory:
                 raise RepeatedNode(f"node {v} visited twice")
             seen.add(v)
 
+    @classmethod
+    def _trusted(cls, nodes: tuple[int, ...]):
+        # For paths netmat walks itself: at least 2 nodes, none repeated.
+        t = object.__new__(cls)
+        t.__dict__["nodes"] = nodes
+        return t
+
 
 def validate_trajectory(t: Trajectory, g: Graph) -> None:
     """Check a trajectory against a graph; raises on the first violation."""
@@ -96,6 +103,13 @@ class Dataset:
             validate_trajectory(t, self.graph)
             trajectories.append(t)
         object.__setattr__(self, "trajectories", tuple(trajectories))
+
+    @classmethod
+    def _trusted(cls, graph: Graph, trajectories: tuple[Trajectory, ...]):
+        # For datasets netmat generates: every trajectory walks edges of graph.
+        d = object.__new__(cls)
+        d.__dict__.update(graph=graph, trajectories=trajectories)
+        return d
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmat import (
     Dataset,
+    Graph,
+    Trajectory,
     audit_dataset,
     build_structure,
     build_utilization,
@@ -147,3 +151,33 @@ class TestSweepConfigs:
             assert 1 <= cfg.n <= 6
             assert cfg.max_traj <= 10
             assert cfg.max_len <= cfg.n
+
+
+@st.composite
+def gen_configs(draw):
+    n = draw(st.integers(1, 10))
+    return GenConfig(
+        n=n,
+        edge_prob=draw(st.floats(0.0, 1.0)),
+        max_traj=draw(st.integers(0, 20)),
+        max_len=draw(st.integers(0, n)),
+        allow_duplicates=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+
+
+class TestTrustedConstruction:
+    # The generators skip validation; their output must pass it unchanged.
+    @settings(max_examples=200, deadline=None)
+    @given(gen_configs(), st.sampled_from((gen_dataset, gen_fully_utilized)))
+    def test_output_survives_the_validating_constructors(self, cfg, generate):
+        d = generate(cfg)
+        g = d.graph
+        rebuilt = Dataset(
+            Graph(g.labels, g.edges), tuple(Trajectory(t.nodes) for t in d.trajectories)
+        )
+        assert rebuilt == d
+        assert hash(rebuilt) == hash(d)
+        assert type(g.labels) is tuple and type(g.edges) is frozenset
+        assert type(d.trajectories) is tuple
+        assert all(type(t.nodes) is tuple for t in d.trajectories)

@@ -298,6 +298,50 @@ class TestCompiledEvaluator:
         v = evaluate_identity(spec, shortcut_structure, shortcut_utilization)
         assert (v.holds, v.witness) == (False, Witness(1, 3, 0, 1))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seeds,
+        st.lists(
+            st.tuples(st.sampled_from(("eq", "leq")), expressions, expressions),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_audit_of_external_specs_matches_materializing_oracle(self, seed, relations):
+        # One symbol table serves every spec of the audit; the first spec
+        # that raises under the oracle is the one whose exception escapes.
+        d = dataset_from_seed(seed, max_n=6)
+        s = build_structure(d.graph)
+        u = build_utilization(d, s)
+        specs = tuple(
+            IdentitySpec(f"EXT.{k}", IdentityClass.UNIVERSAL, rel, lhs, rhs, "")
+            for k, (rel, lhs, rhs) in enumerate(relations)
+        )
+        try:
+            expected = tuple(evaluate_identity_materialized(spec, s, u) for spec in specs)
+        except NetmatError as e:
+            with pytest.raises(NetmatError) as raised:
+                audit_dataset(d, specs=specs)
+            assert (type(raised.value), str(raised.value)) == (type(e), str(e))
+        else:
+            verdicts = audit_dataset(d, specs=specs).verdicts
+            assert verdicts == expected
+            assert [v.spec for v in verdicts] == list(specs)
+
+    def test_holding_verdict_follows_a_witness(self, shortcut_dataset):
+        spec = get_identity("X.EHAT_L_NEQ_L")
+        holding = IdentityVerdict(spec.id, True, spec=spec)
+        for d, expected in (
+            (shortcut_dataset, IdentityVerdict(spec.id, False, Witness(1, 3, 0, 1))),
+            (_empty_dataset(), holding),
+            (shortcut_dataset, IdentityVerdict(spec.id, False, Witness(1, 3, 0, 1))),
+            (_empty_dataset(), holding),
+        ):
+            (v,) = audit_dataset(d, specs=(spec,)).verdicts
+            assert v == expected
+            assert v.spec == spec
+            assert v == evaluate_on_dataset(spec, d)
+
 
 class TestAudit:
     def test_fixture_report(self, shortcut_dataset):

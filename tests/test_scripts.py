@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from netmat import gen_dataset, sweep_configs
+from netmat import gen_dataset, get_identity, sweep_configs
 from netmat.cli import main
 from netmat.fileio import graph_to_text, trajectories_to_text
+from netmat.identities import IdentityVerdict, Witness
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -20,6 +21,7 @@ def _load(name):
 
 
 sweep = _load("run_soundness_sweep")
+hunt = _load("run_identity_hunt")
 
 
 @pytest.mark.parametrize("index", range(8))
@@ -43,3 +45,30 @@ def test_sweep_prints_labelled_witness_and_replay(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "witness (v" in out and "Witness(" not in out
     assert "    replay: netmat gen --n " in out
+
+
+def test_hunt_exits_1_when_a_universal_id_falls(monkeypatch, capsys, shortcut_dataset):
+    # B.DHAT_TC is universal; a search that reports a falsifier for it
+    # stands in for a soundness bug in the library.
+    spec = get_identity("B.DHAT_TC")
+    monkeypatch.setattr(hunt, "search_counterexample", lambda *a, **k: shortcut_dataset)
+    monkeypatch.setattr(
+        hunt,
+        "evaluate_on_dataset",
+        lambda s, d: IdentityVerdict(s.id, False, Witness(1, 3, 1, 0), s),
+    )
+    monkeypatch.setattr(sys, "argv", ["run_identity_hunt.py", "--budget", "1", spec.id])
+    assert hunt.main() == 1
+    out = capsys.readouterr().out
+    assert "B.DHAT_TC         UNIVERSAL            FALSIFIED at (B, D): lhs=1 rhs=0" in out
+    assert "SOUNDNESS VIOLATED: falsified B.DHAT_TC" in out
+
+
+def test_hunt_exits_0_when_only_known_false_ids_fall(monkeypatch, capsys):
+    argv = ["run_identity_hunt.py", "--budget", "100", "X.EHAT_L_NEQ_L", "B.DHAT_TC"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert hunt.main() == 0
+    out = capsys.readouterr().out
+    assert "X.EHAT_L_NEQ_L    NEGATIVE             FALSIFIED at " in out
+    assert "B.DHAT_TC         UNIVERSAL            survived 100 instances" in out
+    assert "SOUNDNESS VIOLATED" not in out
