@@ -16,10 +16,10 @@ rules; an UndefinedProduct is re-raised prefixed with the spec id.  An
 audit builds one symbol table per dataset and evaluates every spec over
 it.  Both sides are computed in full before any cell is compared, so such
 an exception is raised even when an earlier cell in row-major order would
-be the witness.  An "eq" relation is decided by one comparison of the two
-sides' row tuples, and rows are walked only when they differ; "leq" walks
-the rows.  The witness is the first failing cell in row-major order.  A
-relation that holds returns its spec's one shared, immutable verdict.
+be the witness.  The sides then go to ``_first_bad_cell``, which checks
+their dimensions, decides equal sides in one comparison and otherwise
+walks the rows; the witness is the first failing cell in row-major order.
+A relation that holds returns its spec's one shared, immutable verdict.
 
 Catalogue classes:
 
@@ -43,7 +43,7 @@ from functools import lru_cache
 from .errors import ParseError, UndefinedProduct, UnknownIdentity
 from .fileio import cell_to_json
 from .generators import GenConfig, gen_dataset
-from .matrices import CountMatrix, _add_rows, _hadamard_rows, _sub_rows
+from .matrices import _add_rows, _first_bad_cell, _hadamard_rows, _sub_rows
 from .structure import Graph, StructureBundle, build_structure
 from .utilization import Dataset, UtilizationBundle, build_utilization, is_fully_utilized
 
@@ -320,35 +320,27 @@ def get_identity(identity_id: str) -> IdentitySpec:
         raise UnknownIdentity(f"no catalogued identity named {identity_id!r}") from None
 
 
-@lru_cache(maxsize=16)
-def _zero_matrix(n: int) -> CountMatrix:
-    # Matrices are immutable, so symbol tables of one dimension share one.
-    return CountMatrix.zeros(n)
-
-
-def _symbol_table(s: StructureBundle, u: UtilizationBundle) -> dict[str, CountMatrix]:
-    # The bundles' fields are the matrix symbols, in _GLYPH order.
-    return {**vars(s), **vars(u), "0": _zero_matrix(s.A.n)}
+def _symbol_table(s: StructureBundle, u: UtilizationBundle) -> dict[str, tuple]:
+    # The bundles' fields are the matrix symbols, in _GLYPH order; each
+    # symbol maps to its matrix's rows.
+    n = s.A.n
+    rows = {k: m.cells for k, m in (vars(s) | vars(u)).items()}
+    return rows | {"0": ((0,) * n,) * n}
 
 
 _ROW_OPS = {"had": _hadamard_rows, "add": _add_rows, "sub": _sub_rows}
 
 
 def _compile_expr(expr):
-    # A compiled expression maps a symbol table to (rows, has_inf).
+    # A compiled expression maps a symbol table to rows.
     if isinstance(expr, str):
-
-        def leaf(env):
-            m = env[expr]
-            return m.cells, m.has_inf
-
-        return leaf
+        return operator.itemgetter(expr)
     op, lhs, rhs = expr
     left, right = _compile_expr(lhs), _compile_expr(rhs)
     rows_of = _ROW_OPS[op]
 
     def node(env):
-        return rows_of(*left(env), *right(env))
+        return rows_of(left(env), right(env))
 
     return node
 
@@ -364,26 +356,21 @@ def _le_row(lr, rr) -> bool:
     return all(map(operator.le, lr, rr))
 
 
-def _evaluate(spec: IdentitySpec, env: dict[str, CountMatrix]) -> IdentityVerdict:
+# Per relation: the whole-row test and the failing-cell test.
+_RELATIONS = {"eq": (operator.eq, operator.ne), "leq": (_le_row, operator.gt)}
+
+
+def _evaluate(spec: IdentitySpec, env: dict[str, tuple]) -> IdentityVerdict:
     lhs_fn, rhs_fn, holds = _compile(spec)
     try:
-        lhs, _ = lhs_fn(env)
-        rhs, _ = rhs_fn(env)
+        lhs = lhs_fn(env)
+        rhs = rhs_fn(env)
     except UndefinedProduct as e:
         raise UndefinedProduct(f"{spec.id}: {e}") from e
-    if spec.relation == "eq":
-        if lhs == rhs:
-            return holds
-        row_ok, bad = operator.eq, operator.ne
-    else:
-        row_ok, bad = _le_row, operator.gt
-    for i, (lr, rr) in enumerate(zip(lhs, rhs)):
-        if row_ok(lr, rr):
-            continue
-        for j, (a, b) in enumerate(zip(lr, rr)):
-            if bad(a, b):
-                return IdentityVerdict(spec.id, False, Witness(i, j, a, b), spec)
-    return holds
+    bad = _first_bad_cell(lhs, rhs, *_RELATIONS[spec.relation])
+    if bad is None:
+        return holds
+    return IdentityVerdict(spec.id, False, Witness(*bad), spec)
 
 
 def evaluate_identity(

@@ -1,33 +1,34 @@
 """Exact matrix algebra over nonnegative integer counts extended with INF.
 
-Cells are plain Python integers (unbounded) or the INF sentinel marking node
-pairs with no connecting path.  CountMatrix holds arbitrary extended counts;
-BinaryMatrix restricts every cell to {0, 1} and converts implicitly toward
-counts because it simply is one.  All values are immutable and every
-operation is a pure function, so matrices are safe to share across threads.
+A matrix is its rows: cells are plain Python integers (unbounded) or the
+INF sentinel marking node pairs with no connecting path.  CountMatrix holds
+arbitrary extended counts; BinaryMatrix restricts every cell to {0, 1} and
+converts implicitly toward counts because it simply is one.  All values are
+immutable and every operation is a pure function, so matrices are safe to
+share across threads.
 
 Cells are validated where data comes in, and only there: the public
 CountMatrix and BinaryMatrix constructors and the two matrix parsers of
 ``fileio`` run one per-cell loop, which names the first bad row or cell.
-Matrices the package computes from matrices it already holds skip that loop
-through the private ``_trusted`` constructor, because their cells are valid
-by construction: ``zeros``, binarize, hadamard, ew_add and ew_sub map valid
-cells to valid cells (or raise), and the adjacency, distance and
-utilization builders emit only 0/1 flags, hop counts, INF and counts, with
-``has_inf`` known from the work itself.  Their rows are tuples of ints (or
-INF), as the public constructor would leave them.
+Matrices the package computes skip that loop through the private
+``_trusted`` constructor, because their cells are valid by construction:
+``zeros``, binarize and the row kernels map valid cells to valid cells (or
+raise), and the adjacency, distance and utilization builders emit only 0/1
+flags, hop counts, INF and counts, as tuples of tuples.
 
 The row kernels ``_hadamard_rows``, ``_add_rows`` and ``_sub_rows`` are the
-only code that knows the elementwise rules: they check that the operands'
-dimensions agree, decide which cells raise, and say whether the result
-holds INF.  The wrappers, the identity evaluator and the utilization
-cross-checks all call them.
+only code that knows the elementwise rules, and ``_first_bad_cell`` is the
+only walk for the first cell that fails a relation; the wrappers, the
+identity evaluator and the utilization cross-checks call them.  A kernel
+checks dimensions, then maps whole rows.  INF has no arithmetic, so an INF
+operand makes that map raise TypeError, and only then do the per-cell rules
+run, which decide the INF cells and which cells raise.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import (
@@ -39,7 +40,11 @@ from .errors import (
 
 
 class _Unreachable:
-    """Sentinel for "no path exists"; orders above every finite count."""
+    """Sentinel for "no path exists"; orders above every finite count.
+
+    It has no arithmetic: INF + 1, 1 + INF, INF - 1, 1 - INF, INF * 0,
+    0 * INF and INF * INF raise TypeError, which the row kernels rely on.
+    """
 
     __slots__ = ()
 
@@ -78,14 +83,9 @@ ExtendedCount = int | _Unreachable
 
 @dataclass(frozen=True, eq=False)
 class CountMatrix:
-    """Square matrix of extended counts; row = source node, column = sink node.
-
-    ``has_inf`` records whether any cell is INF, so operations can take a
-    whole-row path when neither operand has one.
-    """
+    """Square matrix of extended counts; row = source node, column = sink node."""
 
     cells: tuple[tuple[ExtendedCount, ...], ...]
-    has_inf: bool = field(init=False, repr=False)
 
     # Domain of a valid cell, for error messages; see _cell_ok.
     _DOMAIN = "a nonnegative integer or INF"
@@ -102,21 +102,18 @@ class CountMatrix:
             for j, v in enumerate(row):
                 if not self._cell_ok(v):
                     raise ValueError(f"cell ({i}, {j}) = {v!r} is not {self._DOMAIN}")
-        object.__setattr__(self, "has_inf", any(v is INF for row in rows for v in row))
 
     @staticmethod
     def _cell_ok(v) -> bool:
         return v is INF or (type(v) is int and v >= 0)
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[ExtendedCount, ...], ...], has_inf: bool):
+    def _trusted(cls, rows: tuple[tuple[ExtendedCount, ...], ...]):
         # For cells netmat itself computed (module docstring): rows must be
-        # an n-tuple of n-tuples of valid cells and has_inf exact.
+        # an n-tuple of n-tuples of valid cells.
         m = object.__new__(cls)
         # Writing the instance dict skips the frozen __setattr__ as well.
-        fields = m.__dict__
-        fields["cells"] = rows
-        fields["has_inf"] = has_inf
+        m.__dict__["cells"] = rows
         return m
 
     @property
@@ -141,7 +138,7 @@ class CountMatrix:
         """All-zero matrix of dimension n."""
         if n < 1:
             raise ValueError("matrix dimension must be at least 1")
-        return cls._trusted(((0,) * n,) * n, False)
+        return cls._trusted(((0,) * n,) * n)
 
 
 class BinaryMatrix(CountMatrix):
@@ -161,14 +158,7 @@ _BIT = {0: 0, INF: 0}.get
 def binarize(m: CountMatrix) -> BinaryMatrix:
     """1 where the cell is a finite positive count, 0 where it is 0 or INF."""
     rows = tuple(tuple(map(_BIT, row, repeat(1))) for row in m.cells)
-    return BinaryMatrix._trusted(rows, False)
-
-
-# The _*_rows kernels take each operand's row tuples and whether it holds
-# INF, and return the result's rows and whether it holds INF; the identity
-# evaluator calls them directly, so it builds no matrix.  Without INF whole
-# rows go through map; with INF per-cell loops raise at the first cell that
-# has no value.
+    return BinaryMatrix._trusted(rows)
 
 
 def _check_dimensions(x, y) -> None:
@@ -178,7 +168,24 @@ def _check_dimensions(x, y) -> None:
 
 def _rowwise(op, x, y) -> tuple[tuple[int, ...], ...]:
     # map(op, xr, yr) per row pair, all driven from C: no Python frame per row.
+    # Raises TypeError at the first INF operand (see _Unreachable).
     return tuple(map(tuple, map(map, repeat(op), x, y)))
+
+
+def _first_bad_cell(x, y, row_ok=operator.eq, bad=operator.ne):
+    # (i, j, a, b) of the first cell in row-major order where bad(a, b), else
+    # None.  Rows where row_ok holds are skipped; it holds on equal rows, so
+    # equal matrices take one comparison.
+    _check_dimensions(x, y)
+    if x == y:
+        return None
+    for i, (xr, yr) in enumerate(zip(x, y)):
+        if row_ok(xr, yr):
+            continue
+        for j, (a, b) in enumerate(zip(xr, yr)):
+            if bad(a, b):
+                return i, j, a, b
+    return None
 
 
 def hadamard(x: CountMatrix, y: CountMatrix) -> CountMatrix:
@@ -193,13 +200,15 @@ def hadamard(x: CountMatrix, y: CountMatrix) -> CountMatrix:
         if isinstance(x, BinaryMatrix) and isinstance(y, BinaryMatrix)
         else CountMatrix
     )
-    return cls._trusted(*_hadamard_rows(x.cells, x.has_inf, y.cells, y.has_inf))
+    return cls._trusted(_hadamard_rows(x.cells, y.cells))
 
 
-def _hadamard_rows(x, x_inf: bool, y, y_inf: bool) -> tuple[tuple[tuple, ...], bool]:
+def _hadamard_rows(x, y) -> tuple[tuple, ...]:
     _check_dimensions(x, y)
-    if not (x_inf or y_inf):
-        return _rowwise(operator.mul, x, y), False
+    try:
+        return _rowwise(operator.mul, x, y)
+    except TypeError:
+        pass
     rows = []
     for i, (xr, yr) in enumerate(zip(x, y)):
         row = []
@@ -212,23 +221,24 @@ def _hadamard_rows(x, x_inf: bool, y, y_inf: bool) -> tuple[tuple[tuple, ...], b
             else:
                 row.append(a * b)
         rows.append(tuple(row))
-    # Every INF cell either raised or stayed INF.
-    return tuple(rows), True
+    return tuple(rows)
 
 
 def ew_add(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     """Elementwise sum; both operands must be finite everywhere."""
-    return CountMatrix._trusted(*_add_rows(x.cells, x.has_inf, y.cells, y.has_inf))
+    return CountMatrix._trusted(_add_rows(x.cells, y.cells))
 
 
-def _add_rows(x, x_inf: bool, y, y_inf: bool) -> tuple[tuple[tuple[int, ...], ...], bool]:
+def _add_rows(x, y) -> tuple[tuple[int, ...], ...]:
     _check_dimensions(x, y)
-    if x_inf or y_inf:
-        for i, (xr, yr) in enumerate(zip(x, y)):
-            for j, (a, b) in enumerate(zip(xr, yr)):
-                if a is INF or b is INF:
-                    raise InfiniteOperand(f"INF operand at cell ({i}, {j})")
-    return _rowwise(operator.add, x, y), False
+    try:
+        return _rowwise(operator.add, x, y)
+    except TypeError:
+        pass
+    for i, (xr, yr) in enumerate(zip(x, y)):
+        for j, (a, b) in enumerate(zip(xr, yr)):
+            if a is INF or b is INF:
+                raise InfiniteOperand(f"INF operand at cell ({i}, {j})")
 
 
 def ew_sub(x: CountMatrix, y: CountMatrix) -> CountMatrix:
@@ -239,15 +249,18 @@ def ew_sub(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     with an INF y cell, raises NegativeResult; INF - INF raises
     InfiniteOperand.
     """
-    return CountMatrix._trusted(*_sub_rows(x.cells, x.has_inf, y.cells, y.has_inf))
+    return CountMatrix._trusted(_sub_rows(x.cells, y.cells))
 
 
-def _sub_rows(x, x_inf: bool, y, y_inf: bool) -> tuple[tuple[tuple, ...], bool]:
+def _sub_rows(x, y) -> tuple[tuple, ...]:
     _check_dimensions(x, y)
-    if not (x_inf or y_inf):
+    try:
         rows = _rowwise(operator.sub, x, y)
+    except TypeError:
+        pass
+    else:
         if min(map(min, rows)) >= 0:
-            return rows, False
+            return rows
     rows = []
     for i, (xr, yr) in enumerate(zip(x, y)):
         row = []
@@ -261,5 +274,4 @@ def _sub_rows(x, x_inf: bool, y, y_inf: bool) -> tuple[tuple[tuple, ...], bool]:
             else:
                 row.append(a - b)
         rows.append(tuple(row))
-    # The result is INF exactly where x is.
-    return tuple(rows), x_inf
+    return tuple(rows)

@@ -16,11 +16,15 @@ from .matrices import INF, BinaryMatrix, CountMatrix, binarize, ew_sub
 
 
 def check_labels(labels: tuple[str, ...]) -> None:
-    """Raise ValueError unless labels are nonempty, whitespace-free, unique strings."""
+    """Raise ValueError unless labels are unique, nonempty, whitespace-free
+    strings that the graph text format can write back: no ``#`` (a comment)
+    and no ``nodes:`` prefix (the header)."""
     seen = set()
     for lbl in labels:
         if not isinstance(lbl, str) or not lbl or any(c.isspace() for c in lbl):
             raise ValueError(f"label {lbl!r} must be a nonempty whitespace-free token")
+        if "#" in lbl or lbl.startswith("nodes:"):
+            raise ValueError(f"label {lbl!r} must not contain '#' or start with 'nodes:'")
         if lbl in seen:
             raise ValueError(f"duplicate node label {lbl!r}")
         seen.add(lbl)
@@ -99,7 +103,7 @@ def build_adjacency(g: Graph) -> BinaryMatrix:
     rows = [[0] * g.n for _ in range(g.n)]
     for i, j in g.edges:
         rows[i][j] = 1
-    return BinaryMatrix._trusted(tuple(map(tuple, rows)), False)
+    return BinaryMatrix._trusted(tuple(map(tuple, rows)))
 
 
 def distance_matrix(a: BinaryMatrix) -> CountMatrix:
@@ -111,13 +115,11 @@ def distance_matrix(a: BinaryMatrix) -> CountMatrix:
     n = a.n
     succ = [list(compress(range(n), row)) for row in a.cells]
     rows = []
-    has_inf = False
     for src in range(n):
         dist = [INF] * n
         dist[src] = 0
         frontier = [src]
         hops = 0
-        seen = 1
         while frontier:
             hops += 1
             reached = []
@@ -127,10 +129,8 @@ def distance_matrix(a: BinaryMatrix) -> CountMatrix:
                         dist[w] = hops
                         reached.append(w)
             frontier = reached
-            seen += len(reached)
         rows.append(tuple(dist))
-        has_inf = has_inf or seen < n
-    return CountMatrix._trusted(tuple(rows), has_inf)
+    return CountMatrix._trusted(tuple(rows))
 
 
 def external_matrix(p: CountMatrix, a: BinaryMatrix) -> CountMatrix:

@@ -43,6 +43,7 @@ from .matrices import (
     BinaryMatrix,
     CountMatrix,
     _add_rows,
+    _first_bad_cell,
     _hadamard_rows,
     binarize,
 )
@@ -145,8 +146,8 @@ def _unpack(rows: list[int], n: int, w: int) -> tuple[CountMatrix, BinaryMatrix]
         raw = [r.to_bytes(size, "little") for r in rows]
         hat = [b.translate(_HAT) for b in raw]
         return (
-            CountMatrix._trusted(tuple(map(tuple, raw)), False),
-            BinaryMatrix._trusted(tuple(map(tuple, hat)), False),
+            CountMatrix._trusted(tuple(map(tuple, raw))),
+            BinaryMatrix._trusted(tuple(map(tuple, hat))),
         )
     # In native byte order memoryview reads each field as one item; on a
     # big-endian host the bytes list the last column first.
@@ -157,7 +158,7 @@ def _unpack(rows: list[int], n: int, w: int) -> tuple[CountMatrix, BinaryMatrix]
     )
     if sys.byteorder == "big":
         cells = tuple(row[::-1] for row in cells)
-    m = CountMatrix._trusted(cells, False)
+    m = CountMatrix._trusted(cells)
     return m, binarize(m)
 
 
@@ -193,14 +194,12 @@ def _count_all(d: Dataset) -> tuple[tuple[CountMatrix, BinaryMatrix], ...]:
 
 
 def _cross_check(name: str, counted: CountMatrix, derived: tuple[tuple, ...]) -> None:
-    if counted.cells == derived:
-        return
-    for i, (cr, dr) in enumerate(zip(counted.cells, derived)):
-        for j, (a, b) in enumerate(zip(cr, dr)):
-            if a != b:
-                raise CrossCheckFailure(
-                    f"{name} violated at cell ({i}, {j}): counted {a!r}, derived {b!r}"
-                )
+    bad = _first_bad_cell(counted.cells, derived)
+    if bad is not None:
+        i, j, a, b = bad
+        raise CrossCheckFailure(
+            f"{name} violated at cell ({i}, {j}): counted {a!r}, derived {b!r}"
+        )
 
 
 def build_utilization(d: Dataset, s: StructureBundle) -> UtilizationBundle:
@@ -211,14 +210,11 @@ def build_utilization(d: Dataset, s: StructureBundle) -> UtilizationBundle:
     raises CrossCheckFailure naming the identity and the witness cell.
     """
     (f, fhat), (dd, dhat), (l, lhat), (t, that), (tc, tchat) = _count_all(d)
-    # Counts are finite, so only a structure matrix could hold INF.
-    _cross_check("T = A o L", t, _hadamard_rows(s.A.cells, s.A.has_inf, l.cells, False)[0])
-    _cross_check(
-        "Tc = Ehat o D", tc, _hadamard_rows(s.Ehat.cells, s.Ehat.has_inf, dd.cells, False)[0]
-    )
-    _cross_check("L = T + Tc", l, _add_rows(t.cells, False, tc.cells, False)[0])
+    _cross_check("T = A o L", t, _hadamard_rows(s.A.cells, l.cells))
+    _cross_check("Tc = Ehat o D", tc, _hadamard_rows(s.Ehat.cells, dd.cells))
+    _cross_check("L = T + Tc", l, _add_rows(t.cells, tc.cells))
     # L has just matched T + Tc cell for cell, so F + L is F + T + Tc.
-    _cross_check("D = F + T + Tc", dd, _add_rows(f.cells, False, l.cells, False)[0])
+    _cross_check("D = F + T + Tc", dd, _add_rows(f.cells, l.cells))
     return UtilizationBundle(
         F=f,
         D=dd,

@@ -1,9 +1,12 @@
 import json
+import operator
 import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from netmat import INF, ParseError, Trajectory
+from netmat import INF, Graph, ParseError, Trajectory
 from netmat.fileio import (
     graph_from_text,
     graph_to_text,
@@ -18,11 +21,35 @@ from netmat.fileio import (
 from netmat.matrices import CountMatrix
 
 
+@st.composite
+def labelled_graphs(draw):
+    # Labels built from "#" and ":", some behind a "nodes" or "nodes:" prefix.
+    prefix = st.sampled_from(("", "nodes", "nodes:"))
+    token = st.builds(operator.add, prefix, st.text("ab:#", min_size=1, max_size=3))
+    labels = draw(st.lists(token, min_size=1, max_size=4, unique=True))
+    index = st.integers(0, len(labels) - 1)
+    edges = draw(st.sets(st.tuples(index, index).filter(lambda e: e[0] != e[1])))
+    return tuple(labels), edges
+
+
 class TestGraphFormat:
     def test_round_trip(self, shortcut_graph):
         text = graph_to_text(shortcut_graph)
         assert graph_from_text(text) == shortcut_graph
         assert graph_to_text(graph_from_text(text)) == text
+
+    @example((("a#b", "c"), {(0, 1)}))
+    @example((("nodes:x", "y"), {(0, 1)}))
+    @given(labelled_graphs())
+    def test_every_valid_graph_round_trips(self, graph):
+        # A label the text format could not write back is rejected up front.
+        labels, edges = graph
+        if any("#" in lbl or lbl.startswith("nodes:") for lbl in labels):
+            with pytest.raises(ValueError, match="must not contain '#' or start with 'nodes:'"):
+                Graph(labels, edges)
+            return
+        g = Graph(labels, edges)
+        assert graph_from_text(graph_to_text(g)) == g
 
     def test_header_fixes_label_order_and_isolated_nodes(self):
         g = graph_from_text("nodes: z y x\nz x\n")

@@ -31,7 +31,6 @@ from netmat.identities import (
     IdentityVerdict,
     Witness,
     _spec_to_obj,
-    _symbol_table,
     evaluate_on_dataset,
     render_table,
     report_to_json_obj,
@@ -288,10 +287,14 @@ class TestCompiledEvaluator:
             evaluate_on_dataset(spec, d)
 
     def test_bundles_of_different_dimension(self, chain3_graph, shortcut_utilization):
+        # A and F agree on the 3x3 corner they share, so a bare-symbol
+        # relation is caught only by the dimension check.
         s = build_structure(chain3_graph)
-        spec = IdentitySpec("EXT.9", IdentityClass.UNIVERSAL, "eq", _had("A", "F"), "0", "")
-        with pytest.raises(DimensionMismatch, match=r"^3x3 vs 4x4$"):
-            evaluate_identity(spec, s, shortcut_utilization)
+        cases = (("eq", _had("A", "F"), "0"), ("eq", "A", "F"), ("leq", "A", "F"))
+        for relation, lhs, rhs in cases:
+            spec = IdentitySpec("X", IdentityClass.UNIVERSAL, relation, lhs, rhs, "")
+            with pytest.raises(DimensionMismatch, match=r"^3x3 vs 4x4$"):
+                evaluate_identity(spec, s, shortcut_utilization)
 
     def test_spec_with_list_expressions(self, shortcut_structure, shortcut_utilization):
         spec = IdentitySpec("EXT.6", IdentityClass.NEGATIVE, "eq", ["had", "Ehat", "L"], "L", "")
@@ -419,7 +422,7 @@ class TestMutualExclusivityAgreement:
         d = dataset_from_seed(seed, max_n=8)
         s = build_structure(d.graph)
         u = build_utilization(d, s)
-        env = _symbol_table(s, u)
+        env = {**vars(s), **vars(u)}
         for spec in CATALOGUE:
             if spec.kind is not IdentityClass.MUTUAL_EXCLUSIVITY:
                 continue
