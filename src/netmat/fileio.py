@@ -86,10 +86,14 @@ def graph_from_text(text: str, source: str = "<graph>") -> Graph:
         edges.add((i, j))
     if not labels:
         raise ParseError("graph file declares no nodes", source)
+    # The loop above rejected self-loops and duplicate edges, and its indices
+    # are in range by construction; only the label rules remain.
+    labels = tuple(labels)
     try:
-        return Graph(tuple(labels), frozenset(edges))
+        check_labels(labels)
     except ValueError as e:
         raise ParseError(str(e), source) from e
+    return Graph._trusted(labels, frozenset(edges))
 
 
 def load_graph(path: str | Path) -> Graph:
@@ -115,12 +119,13 @@ def _dataset_from_text(text: str, graph: Graph, source: str) -> Dataset:
             line = _strip_comment(raw)
             if not line:
                 continue
-            nodes = []
-            for token in line.split():
-                if token not in index:
-                    raise ParseError(f"unknown node label {token!r}", source, line_no)
-                nodes.append(index[token])
-            yield Trajectory(tuple(nodes))
+            try:
+                nodes = tuple(map(index.__getitem__, line.split()))
+            except KeyError as e:
+                # map stops at the first unknown token, which the error holds.
+                token = e.args[0]
+                raise ParseError(f"unknown node label {token!r}", source, line_no) from None
+            yield Trajectory(nodes)
 
     try:
         return Dataset(graph, parsed())

@@ -13,8 +13,8 @@ CountMatrix and BinaryMatrix constructors and the two matrix parsers of
 Matrices the package computes skip that loop through the private
 ``_trusted`` constructor, because their cells are valid by construction:
 ``zeros``, binarize and the row kernels map valid cells to valid cells (or
-raise), and the adjacency, distance and utilization builders emit only 0/1
-flags, hop counts, INF and counts, as tuples of tuples.
+raise), and the adjacency, distance, external and utilization builders
+emit only 0/1 flags, hop counts, INF and counts, as tuples of tuples.
 
 The row kernels ``_hadamard_rows``, ``_add_rows`` and ``_sub_rows`` are the
 only code that knows the elementwise rules, and ``_first_bad_cell`` is the

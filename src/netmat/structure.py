@@ -5,6 +5,12 @@ found by breadth-first search from every node; diagonal cells are fixed at
 0 even when a cycle returns to the node, so binarized structural matrices
 always have inert zero diagonals.  Self-loops are rejected outright for the
 same reason.
+
+The search works a set of nodes at a time: a node set is one int whose
+byte j is 1 for node j, so an adjacency row's bytes are its node's
+successor set and one hop is an OR of the frontier's successor sets.  A hop
+count of 1 is exactly an edge, so the external matrix is the distance
+matrix with its 1 cells mapped to 0.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .matrices import INF, BinaryMatrix, CountMatrix, binarize, ew_sub
+from .matrices import INF, BinaryMatrix, CountMatrix, binarize
 
 
 def check_labels(labels: tuple[str, ...]) -> None:
@@ -56,9 +62,9 @@ class Graph:
 
     @classmethod
     def _trusted(cls, labels: tuple[str, ...], edges: frozenset[tuple[int, int]]):
-        # For graphs netmat builds itself (the generators): labels must be a
-        # tuple of distinct tokens and edges a frozenset of in-range index
-        # pairs with no self-loop.
+        # For graphs netmat builds itself (the generators) and graph files
+        # the parser has checked: labels must pass check_labels and edges be
+        # a frozenset of in-range index pairs with no self-loop.
         g = object.__new__(cls)
         g.__dict__.update(labels=labels, edges=edges)
         return g
@@ -76,9 +82,9 @@ class Graph:
     def successors(self) -> dict[int, tuple[int, ...]]:
         """Adjacency lists keyed by source node, sorted for deterministic walks."""
         out: dict[int, list[int]] = {}
-        for i, j in self.edges:
+        for i, j in sorted(self.edges):
             out.setdefault(i, []).append(j)
-        return {i: tuple(sorted(js)) for i, js in sorted(out.items())}
+        return {i: tuple(js) for i, js in out.items()}
 
 
 @dataclass(frozen=True)
@@ -111,36 +117,50 @@ def distance_matrix(a: BinaryMatrix) -> CountMatrix:
 
     Off-diagonal cells hold the minimum number of edges on any directed
     path, INF when no path exists; diagonal cells are 0 by convention.
+    Node sets are byte-sets (module docstring): each hop reads the
+    frontier's nodes off its set's bytes, ORs their successor sets and
+    masks out the nodes already seen, which leaves the next frontier.
     """
     n = a.n
-    succ = [list(compress(range(n), row)) for row in a.cells]
+    nodes = range(n)
+    succ = [int.from_bytes(bytes(row), "little") for row in a.cells]
+    everyone = int.from_bytes(b"\x01" * n, "little")
     rows = []
-    for src in range(n):
+    for src in nodes:
         dist = [INF] * n
         dist[src] = 0
-        frontier = [src]
+        unseen = everyone ^ (1 << (8 * src))
+        frontier = succ[src] & unseen
         hops = 0
         while frontier:
+            unseen ^= frontier
             hops += 1
-            reached = []
-            for u in frontier:
-                for w in succ[u]:
-                    if dist[w] is INF:
-                        dist[w] = hops
-                        reached.append(w)
-            frontier = reached
+            reach = 0
+            for w in compress(nodes, frontier.to_bytes(n, "little")):
+                dist[w] = hops
+                reach |= succ[w]
+            frontier = reach & unseen
         rows.append(tuple(dist))
     return CountMatrix._trusted(tuple(rows))
 
 
-def external_matrix(p: CountMatrix, a: BinaryMatrix) -> CountMatrix:
-    """E = P - A: INF where unreachable, 0 where a direct edge exists."""
-    return ew_sub(p, a)
+# Maps a hop count to its external count: an edge (1 hop) to 0, any other
+# count or INF to itself.
+_EDGE_HOP = {1: 0}.get
+
+
+def external_matrix(p: CountMatrix) -> CountMatrix:
+    """E = P - A: INF where unreachable, 0 where a direct edge exists.
+
+    P is 1 exactly on the edges, so E is P with each 1 mapped to 0.
+    """
+    rows = tuple(tuple(map(_EDGE_HOP, row, row)) for row in p.cells)
+    return CountMatrix._trusted(rows)
 
 
 def build_structure(g: Graph) -> StructureBundle:
     """Build A, P, E and their binarizations for one graph."""
     a = build_adjacency(g)
     p = distance_matrix(a)
-    e = external_matrix(p, a)
+    e = external_matrix(p)
     return StructureBundle(A=a, P=p, Phat=binarize(p), E=e, Ehat=binarize(e))

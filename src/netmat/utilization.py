@@ -20,10 +20,12 @@ its neighbour.  Construction then cross-checks the unpacked matrices
 against their algebraic reconstructions, computed as row tuples, and
 refuses to return a bundle that violates one.
 
-Unpacked counts are nonnegative ints by construction, so every matrix of
-the bundle is built without a validating scan (see ``netmat.matrices``).
-With 8-bit fields the hats come straight from the row bytes, each nonzero
-byte translated to 1.
+Unpacking joins a matrix's packed rows into one bytes buffer, reads it as
+one flat run of n*n cells and cuts that run into rows of n.  Unpacked
+counts are nonnegative ints by construction, so every matrix of the bundle
+is built without a validating scan (see ``netmat.matrices``).  With 8-bit
+fields the hats come straight from the same buffer, each nonzero byte
+translated to 1.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import (
     CrossCheckFailure,
@@ -61,11 +64,16 @@ class Trajectory:
         object.__setattr__(self, "nodes", nodes)
         if len(nodes) < 2:
             raise TooShort(f"trajectory has {len(nodes)} node(s), need at least 2")
-        seen = set()
-        for v in nodes:
-            if v in seen:
-                raise RepeatedNode(f"node {v} visited twice")
-            seen.add(v)
+        # Whole-tuple checks first; the walks only name the first fault.
+        if not all(map(isinstance, nodes, repeat(int))):
+            v = next(v for v in nodes if not isinstance(v, int))
+            raise TrajectoryError(f"node {v!r} is not an integer node index")
+        if len(set(nodes)) != len(nodes):
+            seen = set()
+            for v in nodes:
+                if v in seen:
+                    raise RepeatedNode(f"node {v} visited twice")
+                seen.add(v)
 
     @classmethod
     def _trusted(cls, nodes: tuple[int, ...]):
@@ -77,14 +85,15 @@ class Trajectory:
 
 def validate_trajectory(t: Trajectory, g: Graph) -> None:
     """Check a trajectory against a graph; raises on the first violation."""
+    nodes = t.nodes
     n = g.n
-    for v in t.nodes:
-        if not 0 <= v < n:
-            raise TrajectoryError(f"node index {v} not in graph with {n} nodes")
+    if min(nodes) < 0 or max(nodes) >= n:
+        v = next(v for v in nodes if not 0 <= v < n)
+        raise TrajectoryError(f"node index {v} not in graph with {n} nodes")
     edges = g.edges
-    for i, j in zip(t.nodes, t.nodes[1:]):
-        if (i, j) not in edges:
-            raise MissingEdge(g.labels[i], g.labels[j])
+    if not edges.issuperset(zip(nodes, nodes[1:])):
+        i, j = next(e for e in zip(nodes, nodes[1:]) if e not in edges)
+        raise MissingEdge(g.labels[i], g.labels[j])
 
 
 @dataclass(frozen=True)
@@ -139,23 +148,20 @@ _HAT = bytes([0]) + bytes([1]) * 255
 
 
 def _unpack(rows: list[int], n: int, w: int) -> tuple[CountMatrix, BinaryMatrix]:
-    # One packed matrix as its count matrix and that matrix's hat.
+    # One packed matrix as its count matrix and that matrix's hat, cut into
+    # rows of n from one buffer of all its rows (module docstring).
     size = n * w // 8
     if w == 8:
         # One byte per field: the little-endian bytes are the row's cells.
-        raw = [r.to_bytes(size, "little") for r in rows]
-        hat = [b.translate(_HAT) for b in raw]
+        raw = b"".join([r.to_bytes(size, "little") for r in rows])
         return (
-            CountMatrix._trusted(tuple(map(tuple, raw))),
-            BinaryMatrix._trusted(tuple(map(tuple, hat))),
+            CountMatrix._trusted(tuple(zip(*[iter(raw)] * n))),
+            BinaryMatrix._trusted(tuple(zip(*[iter(raw.translate(_HAT))] * n))),
         )
     # In native byte order memoryview reads each field as one item; on a
-    # big-endian host the bytes list the last column first.
-    code = _TYPECODES[w // 8]
-    cells = tuple(
-        tuple(memoryview(r.to_bytes(size, sys.byteorder)).cast(code).tolist())
-        for r in rows
-    )
+    # big-endian host the bytes list each row's last column first.
+    raw = b"".join([r.to_bytes(size, sys.byteorder) for r in rows])
+    cells = tuple(zip(*[iter(memoryview(raw).cast(_TYPECODES[w // 8]).tolist())] * n))
     if sys.byteorder == "big":
         cells = tuple(row[::-1] for row in cells)
     m = CountMatrix._trusted(cells)
@@ -187,8 +193,8 @@ def _count_all(d: Dataset) -> tuple[tuple[CountMatrix, BinaryMatrix], ...]:
             ta = after & adj[i]
             t[i] += ta
             tc[i] += after ^ ta
-            dd[i] += after | nb
             after |= nb
+            dd[i] += after
             nb = bit[i]
     return tuple(_unpack(rows, n, w) for rows in (f, dd, l, t, tc))
 

@@ -1,7 +1,15 @@
 """Test-only second implementations kept independent of the library code paths."""
 
-from netmat import INF, Dataset, InfiniteOperand, NegativeResult, UndefinedProduct
-from netmat.errors import DimensionMismatch
+from netmat import (
+    INF,
+    Dataset,
+    Graph,
+    InfiniteOperand,
+    NegativeResult,
+    ParseError,
+    UndefinedProduct,
+)
+from netmat.errors import DimensionMismatch, MissingEdge, RepeatedNode, TooShort, TrajectoryError
 from netmat.identities import IdentitySpec, IdentityVerdict, Witness
 from netmat.matrices import BinaryMatrix, CountMatrix
 from netmat.structure import StructureBundle
@@ -243,3 +251,51 @@ def substitute_route_matrix(d: Dataset, s: StructureBundle) -> CountMatrix:
                 if not a[i][j]:
                     m[i][j] += 1
     return _freeze(m)
+
+
+# Node-by-node references for trajectory ingest: each walks a trajectory one
+# token or one node at a time and stops at the first fault.
+
+
+def trajectory_fault(nodes, g: Graph) -> tuple[type, str] | None:
+    """The exception type and message of the first fault that Trajectory
+    plus validate_trajectory must report for nodes on g, or None."""
+    if len(nodes) < 2:
+        return TooShort, f"trajectory has {len(nodes)} node(s), need at least 2"
+    for v in nodes:
+        if not isinstance(v, int):
+            return TrajectoryError, f"node {v!r} is not an integer node index"
+    seen = set()
+    for v in nodes:
+        if v in seen:
+            return RepeatedNode, f"node {v} visited twice"
+        seen.add(v)
+    for v in nodes:
+        if not 0 <= v < g.n:
+            return TrajectoryError, f"node index {v} not in graph with {g.n} nodes"
+    for i, j in zip(nodes, nodes[1:]):
+        if (i, j) not in g.edges:
+            return MissingEdge, f"no edge {g.labels[i]} -> {g.labels[j]}"
+    return None
+
+
+def trajectories_by_token(text: str, g: Graph, source: str) -> tuple[tuple[int, ...], ...]:
+    """The node tuples of a trajectory file, or the ParseError the loader
+    must raise, found by looking up one token at a time."""
+    index = {lbl: i for i, lbl in enumerate(g.labels)}
+    out = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        nodes = []
+        for token in line.split():
+            if token not in index:
+                raise ParseError(f"unknown node label {token!r}", source, line_no)
+            nodes.append(index[token])
+        fault = trajectory_fault(nodes, g)
+        if fault is not None:
+            kind, message = fault
+            raise ParseError(f"{kind.__name__}: {message}", source, line_no)
+        out.append(tuple(nodes))
+    return tuple(out)

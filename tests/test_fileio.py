@@ -20,6 +20,8 @@ from netmat.fileio import (
 )
 from netmat.matrices import CountMatrix
 
+from oracles import trajectories_by_token
+
 
 @st.composite
 def labelled_graphs(draw):
@@ -87,6 +89,14 @@ class TestGraphFormat:
         with pytest.raises(ParseError):
             graph_from_text("# nothing\n")
 
+    @pytest.mark.parametrize("text", ["a nodes:x\n", "nodes: a nodes:x\na nodes:x\n"])
+    def test_header_prefixed_label_rejected(self, text):
+        with pytest.raises(ParseError) as exc:
+            graph_from_text(text, source="g.txt")
+        assert str(exc.value) == (
+            "g.txt: label 'nodes:x' must not contain '#' or start with 'nodes:'"
+        )
+
 
 class TestTrajectoryFormat:
     def test_round_trip(self, shortcut_graph):
@@ -119,6 +129,24 @@ class TestTrajectoryFormat:
         with pytest.raises(ParseError) as exc:
             trajectories_from_text("A\n", shortcut_graph)
         assert "TooShort" in str(exc.value)
+
+    # Lines of known and unknown labels and comments on the shortcut graph.
+    @given(st.lists(st.sampled_from(("A", "B", "C", "D", "Z", "AB", " ", "\n", "#"))).map("".join))
+    @example("A B\nA B Z C\n")
+    @example("A B C D\nB D\n")
+    def test_matches_token_oracle(self, text):
+        g = Graph(("A", "B", "C", "D"), frozenset({(0, 1), (1, 2), (2, 3), (1, 3)}))
+
+        def outcome(parse):
+            try:
+                return parse(text, g, "t.txt")
+            except ParseError as e:
+                return str(e)
+
+        parsed = outcome(trajectories_from_text)
+        if isinstance(parsed, tuple):
+            parsed = tuple(t.nodes for t in parsed)
+        assert parsed == outcome(trajectories_by_token)
 
 
 class TestMatrixCsv:

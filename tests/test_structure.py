@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netmat import INF, Graph, build_structure
@@ -90,12 +90,13 @@ class TestDistance:
         for i, j in shortcut_graph.edges:
             assert p[i, j] == 1
 
+    # Up to 40 nodes, so a node set spans several machine words.
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_matches_floyd_warshall_oracle(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 12)
-        g = gen_digraph(GenConfig(n=n, edge_prob=rng.random(), max_traj=0, max_len=0, seed=seed))
+    @given(st.integers(1, 40), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    @example(n=1, edge_prob=0.0, seed=0)
+    @example(n=40, edge_prob=1.0, seed=0)  # complete digraph
+    def test_matches_floyd_warshall_oracle(self, n, edge_prob, seed):
+        g = gen_digraph(GenConfig(n=n, edge_prob=edge_prob, max_traj=0, max_len=0, seed=seed))
         a = build_adjacency(g)
         assert distance_matrix(a) == floyd_warshall_distance_matrix(a)
 
@@ -125,7 +126,7 @@ class TestExternal:
 
     def test_matches_ew_sub(self, shortcut_structure):
         s = shortcut_structure
-        assert external_matrix(s.P, s.A) == ew_sub(s.P, s.A)
+        assert external_matrix(s.P) == ew_sub(s.P, s.A)
 
 
 class TestBundle:
@@ -153,6 +154,7 @@ class TestBundle:
         assert hadamard(s.Phat, s.A) == s.A
         assert mutually_exclusive(s.A, s.Ehat)
         assert is_zero(hadamard(s.A, s.Ehat))
+        assert s.E == ew_sub(s.P, s.A)
         # Both routes to the binarized external matrix agree.
         assert binarize(ew_sub(s.P, s.A)) == ew_sub(s.Phat, s.A)
         # Reachability meaning of the binarized distance matrix.

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netmat import (
@@ -21,6 +21,7 @@ from netmat.errors import (
     MissingEdge,
     RepeatedNode,
     TooShort,
+    TrajectoryError,
 )
 from netmat.generators import GenConfig
 from netmat.matrices import BinaryMatrix, CountMatrix, ew_add, hadamard
@@ -36,6 +37,7 @@ from oracles import (
     mutually_exclusive,
     od_matrix,
     substitute_route_matrix,
+    trajectory_fault,
 )
 
 
@@ -114,6 +116,47 @@ class TestValidation:
     def test_dataset_validates_on_build(self, shortcut_graph):
         with pytest.raises(MissingEdge):
             Dataset(shortcut_graph, (Trajectory((0, 2)),))
+
+    @pytest.mark.parametrize(
+        "nodes, named", [((0, 1.0, 2), "1.0"), ((0, 1.5), "1.5"), (("a", "b"), "'a'")]
+    )
+    def test_non_integer_node_rejected(self, chain3_graph, nodes, named):
+        with pytest.raises(TrajectoryError) as exc:
+            Dataset(chain3_graph, [Trajectory(nodes)])
+        assert type(exc.value) is TrajectoryError
+        assert str(exc.value) == f"node {named} is not an integer node index"
+
+    def test_non_integer_checked_after_length_and_before_repeats(self):
+        with pytest.raises(TooShort):
+            Trajectory((0.5,))
+        with pytest.raises(TrajectoryError, match="node 'x' is not an integer"):
+            Trajectory((1, 1, "x"))
+
+    # Node tuples on the shortcut graph A->B->C->D, B->D: out of range,
+    # negative, repeated, off the edges and not integers.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.integers(0, 3)
+            | st.integers(-2, 6)
+            | st.booleans()
+            | st.floats(-1, 5, allow_nan=False)
+            | st.text(max_size=1)
+            | st.none(),
+            max_size=6,
+        )
+    )
+    @example([0, 1, 2, 3])
+    @example([0, 1, 3])
+    @example([0, 1.0, 2])
+    def test_matches_oracle(self, nodes):
+        g = Graph(("A", "B", "C", "D"), frozenset({(0, 1), (1, 2), (2, 3), (1, 3)}))
+        try:
+            validate_trajectory(Trajectory(tuple(nodes)), g)
+            outcome = None
+        except TrajectoryError as e:
+            outcome = type(e), str(e)
+        assert outcome == trajectory_fault(nodes, g)
 
 
 class TestFlow:
