@@ -5,6 +5,9 @@ during an audit, 2 usage or input errors.  Every run writes a
 run_manifest.json recording the command, inputs, seed, and emitted files;
 all payloads are rendered before anything touches the filesystem, so a
 failing run leaves no partial output.
+
+The argument parser is built once, when this module is imported, and every
+``main`` call in the process parses with it.
 """
 
 from __future__ import annotations
@@ -286,9 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args reads the parser and never changes it, so one serves every call.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (NetmatError, ValueError, OSError) as e:

@@ -8,7 +8,13 @@ Formats:
   trajectory file   one trajectory per line as whitespace-separated node
                     labels; ``#`` starts a comment
   matrix CSV        header row and column of node labels, unreachable cells
-                    spelled as the literal token ``INF``
+                    spelled as the literal token ``INF``; the csv module
+                    writes the header and each row's label field, quoting a
+                    label that holds ``,`` or ``"``, and the cells, which
+                    never need quoting, are spelled directly: a matrix of
+                    single digits as one ASCII buffer with the commas and
+                    newlines put in by slice assignment, any other through
+                    ``str`` once per distinct value
   matrix JSON       {"n": ..., "labels": [...], "cells": [[...]]} with null
                     encoding unreachable cells
 
@@ -21,6 +27,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import accumulate
+from operator import add
 from pathlib import Path
 
 from .errors import ParseError, TrajectoryError
@@ -153,15 +161,45 @@ def load_dataset(graph_path: str | Path, trajectories_path: str | Path) -> Datas
     return _dataset_from_text(path.read_text(encoding="utf-8"), graph, source=str(path))
 
 
+# Cell value -> its ASCII digit, for matrices whose every cell is below 10.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_ABOVE_9 = bytes(range(10, 256))
+
+
+def _row_heads(labels: tuple[str, ...]) -> tuple[str, list[str]]:
+    """The header line and each row's label field with its comma, as the
+    csv module spells them: a label holding ``,`` or ``"`` is quoted."""
+    buf = io.StringIO()
+    write = csv.writer(buf, lineterminator="\n").writerow
+    # writerow returns the length it wrote; a (label, "") row is the label
+    # field, a comma and the newline.
+    ends = list(accumulate([write(["", *labels]), *(write((lbl, "")) for lbl in labels)]))
+    text = buf.getvalue()
+    return text[: ends[0]], [text[start : end - 1] for start, end in zip(ends, ends[1:])]
+
+
 def matrix_to_csv(m: CountMatrix, labels: tuple[str, ...]) -> str:
     if len(labels) != m.n:
         raise ValueError(f"{len(labels)} labels for a {m.n}x{m.n} matrix")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    # csv applies str() to every cell, which spells INF as "INF".
-    writer.writerow(["", *labels])
-    writer.writerows([label, *row] for label, row in zip(labels, m.cells))
-    return buf.getvalue()
+    header, heads = _row_heads(labels)
+    n = m.n
+    try:
+        # Deleting every byte above 9 leaves all n*n cells iff each is one digit.
+        digits = b"".join(map(bytes, m.cells)).translate(_DIGITS, _ABOVE_9)
+    except (TypeError, ValueError):  # an INF cell, or a count above 255
+        digits = b""
+    if len(digits) == n * n:
+        # Every cell is one digit: fill the odd bytes of a row with commas
+        # and put the newline in place of the last one.
+        body = bytearray(b"," * (2 * n * n))
+        body[::2] = digits
+        body[2 * n - 1 :: 2 * n] = b"\n" * n
+        rows = body.decode("ascii").splitlines(keepends=True)
+    else:
+        # str spells INF as "INF"; spell each distinct value once.
+        spell = {v: str(v) for v in set().union(*m.cells)}.__getitem__
+        rows = [",".join(map(spell, row)) + "\n" for row in m.cells]
+    return header + "".join(map(add, heads, rows))
 
 
 def _parse_cell(token: str, source: str, line_no: int):

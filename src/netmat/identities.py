@@ -418,7 +418,8 @@ def _shrink(spec: IdentitySpec, d: Dataset) -> Dataset:
     # Greedy minimization: drop trajectories, then edges no trajectory uses,
     # keeping each removal only while the dataset still falsifies the
     # relation; repeat until a pass changes nothing.  Dropping trajectories
-    # keeps the graph, so that pass builds its structure once.
+    # keeps the graph, so that pass builds its structure once.  d is valid,
+    # and either removal leaves it valid, so candidates skip validation.
     changed = True
     while changed:
         changed = False
@@ -426,7 +427,7 @@ def _shrink(spec: IdentitySpec, d: Dataset) -> Dataset:
         s = build_structure(d.graph)
         i = 0
         while i < len(trajs):
-            candidate = Dataset(d.graph, tuple(trajs[:i] + trajs[i + 1 :]))
+            candidate = Dataset._trusted(d.graph, tuple(trajs[:i] + trajs[i + 1 :]))
             if not evaluate_identity(spec, s, build_utilization(candidate, s)).holds:
                 del trajs[i]
                 d = candidate
@@ -439,8 +440,8 @@ def _shrink(spec: IdentitySpec, d: Dataset) -> Dataset:
             for pair in zip(t.nodes, t.nodes[1:])
         }
         for edge in sorted(d.graph.edges - used):
-            candidate = Dataset(
-                Graph(d.graph.labels, d.graph.edges - {edge}), d.trajectories
+            candidate = Dataset._trusted(
+                Graph._trusted(d.graph.labels, d.graph.edges - {edge}), d.trajectories
             )
             if not evaluate_on_dataset(spec, candidate).holds:
                 d = candidate

@@ -108,9 +108,14 @@ class Dataset:
     trajectories: tuple[Trajectory, ...]
 
     def __post_init__(self):
+        g = self.graph
+        if not isinstance(g, Graph):
+            raise ValueError(f"dataset graph must be a Graph, got {g!r}")
         trajectories = []
-        for t in self.trajectories:
-            validate_trajectory(t, self.graph)
+        for i, t in enumerate(self.trajectories):
+            if not isinstance(t, Trajectory):
+                raise TrajectoryError(f"trajectory {i} is {t!r}, not a Trajectory")
+            validate_trajectory(t, g)
             trajectories.append(t)
         object.__setattr__(self, "trajectories", tuple(trajectories))
 

@@ -1,5 +1,8 @@
 """Test-only second implementations kept independent of the library code paths."""
 
+import csv
+import io
+
 from netmat import (
     INF,
     Dataset,
@@ -299,3 +302,13 @@ def trajectories_by_token(text: str, g: Graph, source: str) -> tuple[tuple[int, 
             raise ParseError(f"{kind.__name__}: {message}", source, line_no)
         out.append(tuple(nodes))
     return tuple(out)
+
+
+def matrix_to_csv_rows(m: CountMatrix, labels: tuple[str, ...]) -> str:
+    """Matrix CSV written row by row through the csv module, which applies
+    str() to every cell and so spells INF as "INF"."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["", *labels])
+    writer.writerows([label, *row] for label, row in zip(labels, m.cells))
+    return buf.getvalue()

@@ -357,3 +357,38 @@ class TestManifest:
         assert manifest["files"] == ["audit_report.json"]
         assert manifest["inputs"] == [str(graph), str(traj)]
         assert manifest["tool"] == "netmat"
+
+
+class TestParserReuse:
+    """main parses every call with the one parser built at import, so no
+    value of one call may leak into the next."""
+
+    def test_hunt_flags_do_not_leak(self, tmp_path):
+        first, second = tmp_path / "h1", tmp_path / "h2"
+        argv = ["hunt", "ME.A_EHAT", "--budget", "3", "--quiet", "--out"]
+        assert main([*argv, str(first), "--no-allow-duplicates", "--seed", "4"]) == 0
+        assert main([*argv, str(second)]) == 0
+        report = json.loads((first / "hunt_report.json").read_text())
+        assert (report["allow_duplicates"], report["seed"]) == (False, 4)
+        report = json.loads((second / "hunt_report.json").read_text())
+        assert (report["allow_duplicates"], report["seed"]) == (True, 0)
+
+    def test_gen_flags_do_not_leak(self, tmp_path):
+        first, second = tmp_path / "g1", tmp_path / "g2"
+        assert main(["gen", "--n", "4", "--quiet", "--out", str(first)]) == 0
+        assert main(["gen", "--quiet", "--out", str(second)]) == 0
+        assert json.loads((first / "gen_config.json").read_text())["n"] == 4
+        assert json.loads((second / "gen_config.json").read_text())["n"] == 6
+        assert load_graph(second / "graph.txt").n == 6
+
+    def test_exits_do_not_break_later_calls(self, fixture_files, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out.startswith("netmat ")
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--no-such-flag"])
+        assert exc.value.code == 2
+        graph, traj = fixture_files
+        argv = ["compute", "--graph", str(graph), "--trajectories", str(traj), "--quiet"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "P.csv").is_file()

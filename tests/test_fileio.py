@@ -20,7 +20,7 @@ from netmat.fileio import (
 )
 from netmat.matrices import CountMatrix
 
-from oracles import trajectories_by_token
+from oracles import matrix_to_csv_rows, trajectories_by_token
 
 
 @st.composite
@@ -149,7 +149,35 @@ class TestTrajectoryFormat:
         assert parsed == outcome(trajectories_by_token)
 
 
+@st.composite
+def labelled_matrices(draw):
+    # Cells of one matrix from one domain: single digits (the buffer path),
+    # counts up to 300 (past one byte) or either with INF.
+    n = draw(st.integers(1, 12))
+    digits, counts = st.integers(0, 9), st.integers(0, 300)
+    cell = draw(st.sampled_from((digits, counts, digits | st.just(INF), counts | st.just(INF))))
+    cells = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    # Labels with "," and '"', which the csv module must quote.
+    label = st.text(st.sampled_from('ab,"q'), min_size=1, max_size=4)
+    labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    return cells, tuple(labels)
+
+
 class TestMatrixCsv:
+    @example(([[0]], ("a,b",)))
+    @example(([[0, INF, INF], [INF, 0, INF], [INF, INF, 0]], ("a,b", 'q"x', "z")))
+    @example(([[9, 10], [255, 256]], ("a,b", 'q"x')))
+    @example(([[9, 0], [1, 9]], ('q"x', "a,b")))
+    @example(([[10]], ("a",)))
+    @example(([[255, 0], [0, 256]], ("a", "b")))
+    @given(labelled_matrices())
+    def test_matches_csv_module_oracle(self, matrix):
+        cells, labels = matrix
+        m = CountMatrix(cells)
+        text = matrix_to_csv(m, labels)
+        assert text.encode("utf-8") == matrix_to_csv_rows(m, labels).encode("utf-8")
+        assert matrix_from_csv(text) == (m, labels)
+
     def test_round_trip_with_inf(self):
         m = CountMatrix(((0, 1, INF), (2, 0, 5), (INF, INF, 0)))
         labels = ("a", "b", "c")

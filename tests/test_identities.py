@@ -486,6 +486,22 @@ class TestSearch:
         assert v.witness.rhs >= 2
         assert v.witness.lhs == v.witness.rhs * v.witness.rhs
 
+    @pytest.mark.parametrize(
+        "identity",
+        [
+            spec.id
+            for spec in CATALOGUE
+            if spec.kind not in (IdentityClass.UNIVERSAL, IdentityClass.MUTUAL_EXCLUSIVITY)
+        ],
+    )
+    def test_shrunk_falsifier_passes_full_validation(self, identity):
+        # The shrink builds its candidates unvalidated; what it returns must
+        # still pass the validating constructors.
+        found = search_counterexample(identity, 100, 0)
+        assert found is not None
+        graph = Graph(found.graph.labels, found.graph.edges)
+        assert Dataset(graph, found.trajectories) == found
+
     def test_sound_identities_survive(self):
         assert search_counterexample("ME.A_EHAT", 300, 5) is None
         assert search_counterexample("B.DHAT_TC", 300, 5) is None

@@ -117,6 +117,18 @@ class TestValidation:
         with pytest.raises(MissingEdge):
             Dataset(shortcut_graph, (Trajectory((0, 2)),))
 
+    @pytest.mark.parametrize("item", [(0, 1), [0, 1], "ab", None])
+    def test_dataset_item_that_is_not_a_trajectory_rejected(self, chain3_graph, item):
+        with pytest.raises(TrajectoryError) as exc:
+            Dataset(chain3_graph, [Trajectory((0, 1)), item])
+        assert type(exc.value) is TrajectoryError
+        assert str(exc.value) == f"trajectory 1 is {item!r}, not a Trajectory"
+
+    @pytest.mark.parametrize("graph", [None, "A B", (("A", "B"), {(0, 1)})])
+    def test_dataset_graph_that_is_not_a_graph_rejected(self, graph):
+        with pytest.raises(ValueError, match="dataset graph must be a Graph"):
+            Dataset(graph, [Trajectory((0, 1))])
+
     @pytest.mark.parametrize(
         "nodes, named", [((0, 1.0, 2), "1.0"), ((0, 1.5), "1.5"), (("a", "b"), "'a'")]
     )
