@@ -47,7 +47,7 @@ def main() -> int:
         report = audit_dataset(gen_dataset(cfg))
         labels = report.descriptor["labels"]
         for verdict in report.verdicts:
-            kind = verdict.identity().kind
+            kind = verdict.spec.kind
             if verdict.holds:
                 holds[kind.value] += 1
             else:

@@ -74,13 +74,13 @@ def _write_outputs(out_dir: Path, payloads: dict[str, str], manifest: dict) -> N
         (out_dir / name).write_text(payloads[name], encoding="utf-8")
 
 
-def _manifest(args, command: str, inputs: list[str]) -> dict:
+def _manifest(args, command: str, inputs: list[str], seed: int | None = None) -> dict:
     return {
         "tool": "netmat",
         "version": __version__,
         "command": command,
         "inputs": inputs,
-        "seed": args.seed,
+        "seed": seed,
         "out_dir": str(args.out),
     }
 
@@ -172,9 +172,7 @@ def _cmd_gen(args) -> int:
         ),
         "gen_config.json": _json_text(asdict(cfg)),
     }
-    manifest = _manifest(args, "gen", [])
-    manifest["seed"] = cfg.seed
-    _write_outputs(args.out, payloads, manifest)
+    _write_outputs(args.out, payloads, _manifest(args, "gen", [], cfg.seed))
     if not args.quiet:
         print(
             f"wrote dataset to {args.out} "
@@ -186,16 +184,15 @@ def _cmd_gen(args) -> int:
 
 def _cmd_hunt(args) -> int:
     spec = get_identity(args.identity)
-    seed = args.seed if args.seed is not None else 0
     found = search_counterexample(
-        args.identity, args.budget, seed, allow_duplicates=args.allow_duplicates
+        args.identity, args.budget, args.seed, allow_duplicates=args.allow_duplicates
     )
     report = {
         "identity": spec.id,
         "class": spec.kind.value,
         "statement": spec.statement(),
         "budget": args.budget,
-        "seed": seed,
+        "seed": args.seed,
         "allow_duplicates": args.allow_duplicates,
         "found": found is not None,
         "witness": None,
@@ -210,9 +207,7 @@ def _cmd_hunt(args) -> int:
         payloads["trajectories.txt"] = trajectories_to_text(found.trajectories, labels)
         message = f"counterexample found for {spec.id} at cell {witness.describe(labels)}"
     payloads["hunt_report.json"] = _json_text(report)
-    manifest = _manifest(args, "hunt", [])
-    manifest["seed"] = seed
-    _write_outputs(args.out, payloads, manifest)
+    _write_outputs(args.out, payloads, _manifest(args, "hunt", [], args.seed))
     if not args.quiet:
         print(message)
     return 0
@@ -220,12 +215,8 @@ def _cmd_hunt(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="matrix file format"
-    )
-    parser.add_argument(
         "--out", type=Path, default=Path("netmat_out"), help="output directory"
     )
-    parser.add_argument("--seed", type=int, default=None, help="random seed")
     parser.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
 
 
@@ -244,6 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, type=Path, help="graph edge-list file")
     p.add_argument(
         "--trajectories", required=True, type=Path, help="trajectory file"
+    )
+    p.add_argument(
+        "--format", choices=("csv", "json"), default="csv", help="matrix file format"
     )
     _add_common(p)
     p.set_defaults(func=_cmd_compute)
@@ -271,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cover every edge and reachable pair with trajectories",
     )
+    p.add_argument("--seed", type=int, default=None, help="random seed")
     _add_common(p)
     p.set_defaults(func=_cmd_gen)
 
@@ -283,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
     )
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     _add_common(p)
     p.set_defaults(func=_cmd_hunt)
 

@@ -19,7 +19,9 @@ an exception is raised even when an earlier cell in row-major order would
 be the witness.  The sides then go to ``_first_bad_cell``, which checks
 their dimensions, decides equal sides in one comparison and otherwise
 walks the rows; the witness is the first failing cell in row-major order.
-A relation that holds returns its spec's one shared, immutable verdict.
+A verdict is its spec plus the outcome: its id is the spec's id, so reports
+read catalogue specs and specs from elsewhere alike.  A relation that holds
+returns its spec's one shared, immutable verdict.
 
 Catalogue classes:
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 import json
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -181,19 +183,21 @@ class Witness:
 class IdentityVerdict:
     """Outcome of evaluating one relation on one dataset.
 
-    ``spec`` carries the evaluated relation, so reports also work for specs
-    outside the catalogue; a verdict built without one refers to the
-    catalogue entry named by ``id``.
+    ``spec`` is the evaluated relation, in or outside the catalogue; a
+    spec that is not an IdentitySpec raises TypeError.
     """
 
-    id: str
+    spec: IdentitySpec
     holds: bool
     witness: Witness | None = None
-    spec: IdentitySpec | None = field(default=None, compare=False, repr=False)
 
-    def identity(self) -> IdentitySpec:
-        """The evaluated relation: the carried spec, else the catalogue entry."""
-        return self.spec if self.spec is not None else get_identity(self.id)
+    def __post_init__(self):
+        if not isinstance(self.spec, IdentitySpec):
+            raise TypeError(f"verdict spec must be an IdentitySpec, got {self.spec!r}")
+
+    @property
+    def id(self) -> str:
+        return self.spec.id
 
 
 @dataclass(frozen=True)
@@ -208,7 +212,7 @@ class AuditReport:
     def sound(self) -> bool:
         """True iff every UNIVERSAL and MUTUAL_EXCLUSIVITY relation holds."""
         gated = (IdentityClass.UNIVERSAL, IdentityClass.MUTUAL_EXCLUSIVITY)
-        return all(v.holds for v in self.verdicts if v.identity().kind in gated)
+        return all(v.holds for v in self.verdicts if v.spec.kind in gated)
 
 
 def _had(a, b):
@@ -348,7 +352,7 @@ def _compile_expr(expr):
 @lru_cache(maxsize=1024)
 def _compile(spec: IdentitySpec):
     # Both sides, plus the one verdict every holding evaluation returns.
-    holds = IdentityVerdict(spec.id, True, spec=spec)
+    holds = IdentityVerdict(spec, True)
     return _compile_expr(spec.lhs), _compile_expr(spec.rhs), holds
 
 
@@ -370,7 +374,7 @@ def _evaluate(spec: IdentitySpec, env: dict[str, tuple]) -> IdentityVerdict:
     bad = _first_bad_cell(lhs, rhs, *_RELATIONS[spec.relation])
     if bad is None:
         return holds
-    return IdentityVerdict(spec.id, False, Witness(*bad), spec)
+    return IdentityVerdict(spec, False, Witness(*bad))
 
 
 def evaluate_identity(
@@ -496,11 +500,11 @@ def _spec_to_obj(spec: IdentitySpec) -> dict:
     }
 
 
-def catalogue_to_json(indent: int = 2) -> str:
+def catalogue_to_json() -> str:
     """Serialize the catalogue for external consumers; expression triples
     become JSON arrays."""
     entries = [_spec_to_obj(spec) for spec in CATALOGUE]
-    return json.dumps(entries, indent=indent, ensure_ascii=False) + "\n"
+    return json.dumps(entries, indent=2, ensure_ascii=False) + "\n"
 
 
 def _spec_from_obj(entry) -> IdentitySpec:
@@ -544,7 +548,7 @@ def report_to_json_obj(report: AuditReport) -> dict:
     labels = report.descriptor.get("labels", [])
     verdicts = []
     for v in report.verdicts:
-        spec = v.identity()
+        spec = v.spec
         verdicts.append({
             "id": v.id,
             "class": spec.kind.value,
@@ -565,7 +569,7 @@ def render_table(report: AuditReport) -> str:
     labels = report.descriptor.get("labels", [])
     rows = []
     for v in report.verdicts:
-        spec = v.identity()
+        spec = v.spec
         witness = "" if v.witness is None else v.witness.describe(labels)
         rows.append(
             (v.id, spec.kind.value, spec.statement(), "holds" if v.holds else "FAILS", witness)

@@ -1,20 +1,20 @@
 """Exact matrix algebra over nonnegative integer counts extended with INF.
 
 A matrix is its rows: cells are plain Python integers (unbounded) or the
-INF sentinel marking node pairs with no connecting path.  CountMatrix holds
-arbitrary extended counts; BinaryMatrix restricts every cell to {0, 1} and
-converts implicitly toward counts because it simply is one.  All values are
-immutable and every operation is a pure function, so matrices are safe to
-share across threads.
+INF sentinel marking node pairs with no connecting path.  There is one
+matrix class, CountMatrix; a binarization is a CountMatrix whose cells
+happen to be 0 and 1, with no tag beside the rows saying so.  All values
+are immutable and every operation is a pure function, so matrices are safe
+to share across threads.
 
 Cells are validated where data comes in, and only there: the public
-CountMatrix and BinaryMatrix constructors and the two matrix parsers of
-``fileio`` run one per-cell loop, which names the first bad row or cell.
-Matrices the package computes skip that loop through the private
-``_trusted`` constructor, because their cells are valid by construction:
-``zeros``, binarize and the row kernels map valid cells to valid cells (or
-raise), and the adjacency, distance, external and utilization builders
-emit only 0/1 flags, hop counts, INF and counts, as tuples of tuples.
+CountMatrix constructor and the two matrix parsers of ``fileio`` run one
+per-cell loop, which names the first bad row or cell.  Matrices the
+package computes skip that loop through the private ``_trusted``
+constructor, because their cells are valid by construction: ``zeros``,
+binarize and the row kernels map valid cells to valid cells (or raise),
+and the adjacency, distance, external and utilization builders emit only
+0/1 flags, hop counts, INF and counts, as tuples of tuples.
 
 The row kernels ``_hadamard_rows``, ``_add_rows`` and ``_sub_rows`` are the
 only code that knows the elementwise rules, and ``_first_bad_cell`` is the
@@ -87,9 +87,6 @@ class CountMatrix:
 
     cells: tuple[tuple[ExtendedCount, ...], ...]
 
-    # Domain of a valid cell, for error messages; see _cell_ok.
-    _DOMAIN = "a nonnegative integer or INF"
-
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.cells)
         object.__setattr__(self, "cells", rows)
@@ -100,12 +97,10 @@ class CountMatrix:
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {n}")
             for j, v in enumerate(row):
-                if not self._cell_ok(v):
-                    raise ValueError(f"cell ({i}, {j}) = {v!r} is not {self._DOMAIN}")
-
-    @staticmethod
-    def _cell_ok(v) -> bool:
-        return v is INF or (type(v) is int and v >= 0)
+                if not (v is INF or (type(v) is int and v >= 0)):
+                    raise ValueError(
+                        f"cell ({i}, {j}) = {v!r} is not a nonnegative integer or INF"
+                    )
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[ExtendedCount, ...], ...]):
@@ -125,7 +120,6 @@ class CountMatrix:
         return self.cells[i][j]
 
     def __eq__(self, other):
-        # Cell-level equality across CountMatrix and BinaryMatrix.
         if isinstance(other, CountMatrix):
             return self.cells == other.cells
         return NotImplemented
@@ -141,24 +135,14 @@ class CountMatrix:
         return cls._trusted(((0,) * n,) * n)
 
 
-class BinaryMatrix(CountMatrix):
-    """Count matrix whose every cell is 0 or 1."""
-
-    _DOMAIN = "0 or 1"
-
-    @staticmethod
-    def _cell_ok(v) -> bool:
-        return type(v) is int and (v == 0 or v == 1)
-
-
 # Maps a cell to its binarization: 0 and INF to 0, any other count to 1.
 _BIT = {0: 0, INF: 0}.get
 
 
-def binarize(m: CountMatrix) -> BinaryMatrix:
+def binarize(m: CountMatrix) -> CountMatrix:
     """1 where the cell is a finite positive count, 0 where it is 0 or INF."""
     rows = tuple(tuple(map(_BIT, row, repeat(1))) for row in m.cells)
-    return BinaryMatrix._trusted(rows)
+    return CountMatrix._trusted(rows)
 
 
 def _check_dimensions(x, y) -> None:
@@ -192,15 +176,10 @@ def hadamard(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     """Elementwise product of two matrices of equal dimension.
 
     INF times a positive count (or INF) stays INF.  INF times 0 has no
-    meaningful value and raises UndefinedProduct.  The result is binary
-    whenever both operands are binary.
+    meaningful value and raises UndefinedProduct.  The product of two 0/1
+    matrices is 0/1.
     """
-    cls = (
-        BinaryMatrix
-        if isinstance(x, BinaryMatrix) and isinstance(y, BinaryMatrix)
-        else CountMatrix
-    )
-    return cls._trusted(_hadamard_rows(x.cells, y.cells))
+    return CountMatrix._trusted(_hadamard_rows(x.cells, y.cells))
 
 
 def _hadamard_rows(x, y) -> tuple[tuple, ...]:

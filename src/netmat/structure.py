@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .matrices import INF, BinaryMatrix, CountMatrix, binarize
+from .matrices import INF, CountMatrix, binarize
 
 
 def check_labels(labels: tuple[str, ...]) -> None:
@@ -73,12 +73,6 @@ class Graph:
     def n(self) -> int:
         return len(self.labels)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(label) from None
-
     def successors(self) -> dict[int, tuple[int, ...]]:
         """Adjacency lists keyed by source node, sorted for deterministic walks."""
         out: dict[int, list[int]] = {}
@@ -97,22 +91,22 @@ class StructureBundle:
         is reachable but has no direct edge
     """
 
-    A: BinaryMatrix
+    A: CountMatrix
     P: CountMatrix
-    Phat: BinaryMatrix
+    Phat: CountMatrix
     E: CountMatrix
-    Ehat: BinaryMatrix
+    Ehat: CountMatrix
 
 
-def build_adjacency(g: Graph) -> BinaryMatrix:
+def build_adjacency(g: Graph) -> CountMatrix:
     """Adjacency matrix of the graph; not necessarily symmetric."""
     rows = [[0] * g.n for _ in range(g.n)]
     for i, j in g.edges:
         rows[i][j] = 1
-    return BinaryMatrix._trusted(tuple(map(tuple, rows)))
+    return CountMatrix._trusted(tuple(map(tuple, rows)))
 
 
-def distance_matrix(a: BinaryMatrix) -> CountMatrix:
+def distance_matrix(a: CountMatrix) -> CountMatrix:
     """All-pairs shortest hop counts via breadth-first search from each node.
 
     Off-diagonal cells hold the minimum number of edges on any directed

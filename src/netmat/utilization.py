@@ -42,14 +42,7 @@ from .errors import (
     TooShort,
     TrajectoryError,
 )
-from .matrices import (
-    BinaryMatrix,
-    CountMatrix,
-    _add_rows,
-    _first_bad_cell,
-    _hadamard_rows,
-    binarize,
-)
+from .matrices import CountMatrix, _add_rows, _first_bad_cell, _hadamard_rows, binarize
 from .structure import Graph, StructureBundle
 
 
@@ -136,11 +129,11 @@ class UtilizationBundle:
     L: CountMatrix
     T: CountMatrix
     Tc: CountMatrix
-    Fhat: BinaryMatrix
-    Dhat: BinaryMatrix
-    Lhat: BinaryMatrix
-    That: BinaryMatrix
-    Tchat: BinaryMatrix
+    Fhat: CountMatrix
+    Dhat: CountMatrix
+    Lhat: CountMatrix
+    That: CountMatrix
+    Tchat: CountMatrix
 
 
 # array typecode of each unsigned field width in bytes, chosen by itemsize
@@ -152,7 +145,7 @@ _TYPECODES = {array(c).itemsize: c for c in "QLIH"}
 _HAT = bytes([0]) + bytes([1]) * 255
 
 
-def _unpack(rows: list[int], n: int, w: int) -> tuple[CountMatrix, BinaryMatrix]:
+def _unpack(rows: list[int], n: int, w: int) -> tuple[CountMatrix, CountMatrix]:
     # One packed matrix as its count matrix and that matrix's hat, cut into
     # rows of n from one buffer of all its rows (module docstring).
     size = n * w // 8
@@ -161,7 +154,7 @@ def _unpack(rows: list[int], n: int, w: int) -> tuple[CountMatrix, BinaryMatrix]
         raw = b"".join([r.to_bytes(size, "little") for r in rows])
         return (
             CountMatrix._trusted(tuple(zip(*[iter(raw)] * n))),
-            BinaryMatrix._trusted(tuple(zip(*[iter(raw.translate(_HAT))] * n))),
+            CountMatrix._trusted(tuple(zip(*[iter(raw.translate(_HAT))] * n))),
         )
     # In native byte order memoryview reads each field as one item; on a
     # big-endian host the bytes list each row's last column first.
@@ -173,7 +166,7 @@ def _unpack(rows: list[int], n: int, w: int) -> tuple[CountMatrix, BinaryMatrix]
     return m, binarize(m)
 
 
-def _count_all(d: Dataset) -> tuple[tuple[CountMatrix, BinaryMatrix], ...]:
+def _count_all(d: Dataset) -> tuple[tuple[CountMatrix, CountMatrix], ...]:
     # F, D, L, T and Tc, each with its hat.  Column j of a packed row is
     # the field at bit w*j (module docstring).  The direct / indirect split
     # uses the dataset's own edge set.

@@ -14,12 +14,12 @@ from netmat import (
 )
 from netmat.errors import DimensionMismatch, MissingEdge, RepeatedNode, TooShort, TrajectoryError
 from netmat.identities import IdentitySpec, IdentityVerdict, Witness
-from netmat.matrices import BinaryMatrix, CountMatrix
+from netmat.matrices import CountMatrix
 from netmat.structure import StructureBundle
 from netmat.utilization import UtilizationBundle
 
 
-def floyd_warshall_distance_matrix(a: BinaryMatrix) -> CountMatrix:
+def floyd_warshall_distance_matrix(a: CountMatrix) -> CountMatrix:
     """Hop distances by Floyd-Warshall relaxation over every intermediate node."""
     n = a.n
     dist: list[list[int | None]] = [
@@ -50,8 +50,8 @@ def floyd_warshall_distance_matrix(a: BinaryMatrix) -> CountMatrix:
 # row-major order and raises at the first cell the operation cannot handle.
 
 
-def binarize_cells(m: CountMatrix) -> BinaryMatrix:
-    return BinaryMatrix(
+def binarize_cells(m: CountMatrix) -> CountMatrix:
+    return CountMatrix(
         tuple(tuple(0 if (v is INF or v == 0) else 1 for v in row) for row in m.cells)
     )
 
@@ -69,8 +69,7 @@ def hadamard_cells(x: CountMatrix, y: CountMatrix) -> CountMatrix:
             else:
                 row.append(a * b)
         rows.append(tuple(row))
-    binary = isinstance(x, BinaryMatrix) and isinstance(y, BinaryMatrix)
-    return (BinaryMatrix if binary else CountMatrix)(tuple(rows))
+    return CountMatrix(tuple(rows))
 
 
 def ew_add_cells(x: CountMatrix, y: CountMatrix) -> CountMatrix:
@@ -177,8 +176,8 @@ def evaluate_identity_materialized(
     for i, (lr, rr) in enumerate(zip(lhs.cells, rhs.cells)):
         for j, (a, b) in enumerate(zip(lr, rr)):
             if (not a <= b) if spec.relation == "leq" else a != b:
-                return IdentityVerdict(spec.id, False, Witness(i, j, a, b), spec)
-    return IdentityVerdict(spec.id, True, spec=spec)
+                return IdentityVerdict(spec, False, Witness(i, j, a, b))
+    return IdentityVerdict(spec, True)
 
 
 # Per-pair references for the utilization counts: each visits every ordered

@@ -144,12 +144,12 @@ class TestAudit:
 
     def test_soundness_failure_exits_1(self, fixture_files, tmp_path, monkeypatch):
         import netmat.cli as cli
-        from netmat.identities import AuditReport, IdentityVerdict, Witness
+        from netmat.identities import AuditReport, IdentityVerdict, Witness, get_identity
 
         def fake_audit(dataset, name=""):
             return AuditReport(
                 {"name": name, "n": 1, "labels": ["a"], "edge_count": 0, "trajectory_count": 0},
-                (IdentityVerdict("ME.A_EHAT", False, Witness(0, 0, 1, 0)),),
+                (IdentityVerdict(get_identity("ME.A_EHAT"), False, Witness(0, 0, 1, 0)),),
                 False,
             )
 
@@ -357,6 +357,44 @@ class TestManifest:
         assert manifest["files"] == ["audit_report.json"]
         assert manifest["inputs"] == [str(graph), str(traj)]
         assert manifest["tool"] == "netmat"
+
+    @pytest.mark.parametrize("command", ["compute", "audit"])
+    def test_seedless_commands_record_null_seed(self, fixture_files, tmp_path, command):
+        graph, traj = fixture_files
+        out = tmp_path / command
+        argv = [command, "--graph", str(graph), "--trajectories", str(traj), "--out", str(out)]
+        main([*argv, "--quiet"])
+        assert json.loads((out / "run_manifest.json").read_text())["seed"] is None
+
+
+class TestDroppedFlags:
+    """--format belongs to compute and --seed to gen and hunt; any other
+    command rejects them as unknown arguments, before writing anything."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("audit", ["--format", "csv"]),
+            ("gen", ["--format", "json"]),
+            ("hunt", ["--format", "json"]),
+            ("compute", ["--seed", "1"]),
+            ("audit", ["--seed", "1"]),
+        ],
+    )
+    def test_exits_2(self, fixture_files, tmp_path, capsys, command, flag):
+        graph, traj = fixture_files
+        operands = {
+            "compute": ["--graph", str(graph), "--trajectories", str(traj)],
+            "audit": ["--graph", str(graph), "--trajectories", str(traj)],
+            "gen": [],
+            "hunt": ["ME.A_EHAT", "--budget", "1"],
+        }[command]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *operands, *flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParserReuse:

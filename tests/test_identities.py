@@ -333,11 +333,11 @@ class TestCompiledEvaluator:
 
     def test_holding_verdict_follows_a_witness(self, shortcut_dataset):
         spec = get_identity("X.EHAT_L_NEQ_L")
-        holding = IdentityVerdict(spec.id, True, spec=spec)
+        holding = IdentityVerdict(spec, True)
         for d, expected in (
-            (shortcut_dataset, IdentityVerdict(spec.id, False, Witness(1, 3, 0, 1))),
+            (shortcut_dataset, IdentityVerdict(spec, False, Witness(1, 3, 0, 1))),
             (_empty_dataset(), holding),
-            (shortcut_dataset, IdentityVerdict(spec.id, False, Witness(1, 3, 0, 1))),
+            (shortcut_dataset, IdentityVerdict(spec, False, Witness(1, 3, 0, 1))),
             (_empty_dataset(), holding),
         ):
             (v,) = audit_dataset(d, specs=(spec,)).verdicts
@@ -385,21 +385,27 @@ class TestAudit:
         json.dumps(obj)  # must be JSON-serializable as-is
 
     def test_external_spec_list_audits_and_renders(self, shortcut_dataset):
+        # The last spec reuses a catalogue id for another relation; every
+        # verdict reports the spec it evaluated, never the catalogue entry.
         specs = specs_from_json(json.dumps([
             {"id": "EXT.7", "class": "UNIVERSAL", "lhs": "Fhat", "rhs": "A"},
             {"id": "EXT.8", "class": "MUTUAL_EXCLUSIVITY", "lhs": ["had", "A", "Ehat"], "rhs": "0"},
+            {"id": "FU.FHAT_EQ_A", "class": "NEGATIVE", "relation": "leq", "lhs": "Fhat", "rhs": "A"},
         ]))
         report = audit_dataset(shortcut_dataset, name="ext", specs=specs)
-        assert [v.id for v in report.verdicts] == ["EXT.7", "EXT.8"]
+        assert [v.spec for v in report.verdicts] == list(specs)
+        assert [v.id for v in report.verdicts] == ["EXT.7", "EXT.8", "FU.FHAT_EQ_A"]
         assert not report.sound
         obj = report_to_json_obj(report)
-        assert [(v["id"], v["statement"], v["holds"]) for v in obj["verdicts"]] == [
-            ("EXT.7", "F̂ = A", False),
-            ("EXT.8", get_identity("ME.A_EHAT").statement(), True),
+        assert [(v["id"], v["class"], v["statement"], v["holds"]) for v in obj["verdicts"]] == [
+            ("EXT.7", "UNIVERSAL", "F̂ = A", False),
+            ("EXT.8", "MUTUAL_EXCLUSIVITY", get_identity("ME.A_EHAT").statement(), True),
+            ("FU.FHAT_EQ_A", "NEGATIVE", "F̂ ≤ A", True),
         ]
         assert obj["verdicts"][0]["witness"]["row_label"] == "B"
         text = render_table(report)
         assert "EXT.7" in text and "F̂ = A" in text and "(B, D): lhs=0 rhs=1" in text
+        assert text.splitlines()[4].split() == ["FU.FHAT_EQ_A", "NEGATIVE", "F̂", "≤", "A", "holds"]
         assert "VIOLATED" in text
 
     def test_render_table_mentions_failures(self, shortcut_dataset):
@@ -599,7 +605,7 @@ class TestSerialization:
         s = build_structure(shortcut_dataset.graph)
         u = build_utilization(shortcut_dataset, s)
         v = evaluate_identity(spec, s, u)
-        assert not v.holds and v.identity() is spec
+        assert not v.holds and v.spec is spec
         descriptor = {"name": "ext", "n": 4, "labels": ["A", "B", "C", "D"],
                       "edge_count": 4, "trajectory_count": 1}
         report = AuditReport(descriptor, (v,), False)
@@ -657,5 +663,24 @@ class TestWitness:
         w = Witness(3, 0, 1, 0)
         assert w.describe(("a",)) == "(3, a): lhs=1 rhs=0"
         assert w.to_json_obj(("a",))["row_label"] == "3"
-        report = AuditReport({"labels": ["a"]}, (IdentityVerdict("ME.A_EHAT", False, w),), False)
+        report = AuditReport({"labels": ["a"]}, (IdentityVerdict(get_identity("ME.A_EHAT"), False, w),), False)
         assert "(3, a): lhs=1 rhs=0" in render_table(report)
+
+
+class TestVerdict:
+    def test_spec_is_required(self):
+        with pytest.raises(TypeError):
+            IdentityVerdict(holds=True)
+        with pytest.raises(TypeError, match="verdict spec must be an IdentitySpec, got 'ME.A_EHAT'"):
+            IdentityVerdict("ME.A_EHAT", False, Witness(0, 0, 1, 0))
+
+    def test_id_is_the_spec_id_and_read_only(self):
+        v = IdentityVerdict(get_identity("ME.A_EHAT"), True)
+        assert v.id == "ME.A_EHAT"
+        with pytest.raises(AttributeError):
+            v.id = "ME.A_TC"
+
+    def test_holding_evaluation_returns_the_shared_verdict(self, shortcut_dataset):
+        spec = get_identity("ME.A_EHAT")
+        (v,) = audit_dataset(shortcut_dataset, specs=(spec,)).verdicts
+        assert v.holds and v is evaluate_on_dataset(spec, _empty_dataset())

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from netmat import INF, InfiniteOperand, NegativeResult, NetmatError, UndefinedProduct
 from netmat.errors import DimensionMismatch
 from netmat.matrices import (
-    BinaryMatrix,
     CountMatrix,
     _Unreachable,
     binarize,
@@ -40,7 +39,7 @@ def matrices(draw, max_n=4, max_val=5, allow_inf=False, n=None, binary=False):
             st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n
         )
     )
-    return (BinaryMatrix if binary else CountMatrix)(tuple(tuple(r) for r in rows))
+    return CountMatrix(tuple(tuple(r) for r in rows))
 
 
 @st.composite
@@ -70,18 +69,8 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CountMatrix(((True,),))
 
-    def test_binary_rejects_two_and_inf(self):
-        with pytest.raises(ValueError):
-            BinaryMatrix(((2,),))
-        with pytest.raises(ValueError):
-            BinaryMatrix(((INF,),))
-
-    def test_binary_equals_count_with_same_cells(self):
-        assert BinaryMatrix(((0, 1), (1, 0))) == CountMatrix(((0, 1), (1, 0)))
-
     def test_zeros(self):
         assert CountMatrix.zeros(3) == CountMatrix(((0,) * 3,) * 3)
-        assert isinstance(BinaryMatrix.zeros(2), BinaryMatrix)
 
     @pytest.mark.parametrize(
         "bad, shown", [(True, "True"), (1.0, "1.0"), (-1, "-1"), (_Unreachable(), "INF")]
@@ -94,14 +83,6 @@ class TestConstruction:
             match=re.escape(f"cell (1, 0) = {shown} is not a nonnegative integer or INF"),
         ):
             CountMatrix(((0, INF), (bad, 0 if later_ok else -5)))
-        with pytest.raises(ValueError, match=re.escape(f"cell (1, 0) = {shown} is not 0 or 1")):
-            BinaryMatrix(((0, 1), (bad, 1 if later_ok else 2)))
-
-    def test_binary_names_first_out_of_range_cell(self):
-        with pytest.raises(ValueError, match=re.escape("cell (0, 1) = 2 is not 0 or 1")):
-            BinaryMatrix(((0, 2), (INF, 1)))
-        with pytest.raises(ValueError, match=re.escape("cell (0, 1) = INF is not 0 or 1")):
-            BinaryMatrix(((0, INF), (2, 1)))
 
     def test_bad_cell_before_short_row_is_named_first(self):
         with pytest.raises(ValueError, match=re.escape("cell (0, 1) = -1 is not")):
@@ -145,15 +126,15 @@ class TestInfOrdering:
 
 class TestBinarize:
     def test_inf_and_zero_drop_to_zero(self):
-        assert binarize(CountMatrix(((0, 1), (INF, 0)))) == BinaryMatrix(
+        assert binarize(CountMatrix(((0, 1), (INF, 0)))) == CountMatrix(
             ((0, 1), (0, 0))
         )
 
     def test_zero_matrix_fixed(self):
-        assert binarize(CountMatrix.zeros(3)) == BinaryMatrix.zeros(3)
+        assert binarize(CountMatrix.zeros(3)) == CountMatrix.zeros(3)
 
     def test_positive_finite_to_one(self):
-        assert binarize(CountMatrix(((0, 2), (3, 0)))) == BinaryMatrix(((0, 1), (1, 0)))
+        assert binarize(CountMatrix(((0, 2), (3, 0)))) == CountMatrix(((0, 1), (1, 0)))
 
     @given(matrices(allow_inf=True))
     def test_idempotent(self, m):
@@ -163,7 +144,7 @@ class TestBinarize:
 
 class TestHadamard:
     def test_binary_mask(self):
-        x = BinaryMatrix(((1, 0), (0, 1)))
+        x = CountMatrix(((1, 0), (0, 1)))
         y = CountMatrix(((5, 7), (9, 3)))
         assert hadamard(x, y) == CountMatrix(((5, 0), (0, 3)))
 
@@ -188,8 +169,8 @@ class TestHadamard:
             hadamard(CountMatrix.zeros(3), CountMatrix.zeros(2))
 
     def test_binary_operands_give_binary_result(self):
-        out = hadamard(BinaryMatrix(((1, 0), (1, 1))), BinaryMatrix(((1, 1), (0, 1))))
-        assert isinstance(out, BinaryMatrix)
+        out = hadamard(CountMatrix(((1, 0), (1, 1))), CountMatrix(((1, 1), (0, 1))))
+        assert out.cells == ((1, 0), (0, 1))
 
     @given(matrix_pairs())
     def test_commutative(self, pair):

@@ -55,7 +55,7 @@ def test_hunt_exits_1_when_a_universal_id_falls(monkeypatch, capsys, shortcut_da
     monkeypatch.setattr(
         hunt,
         "evaluate_on_dataset",
-        lambda s, d: IdentityVerdict(s.id, False, Witness(1, 3, 1, 0), s),
+        lambda s, d: IdentityVerdict(s, False, Witness(1, 3, 1, 0)),
     )
     monkeypatch.setattr(sys, "argv", ["run_identity_hunt.py", "--budget", "1", spec.id])
     assert hunt.main() == 1

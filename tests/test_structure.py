@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from netmat import INF, Graph, build_structure
 from netmat.generators import GenConfig, gen_digraph
-from netmat.matrices import BinaryMatrix, binarize, ew_sub, hadamard
+from netmat.matrices import CountMatrix, binarize, ew_sub, hadamard
 from netmat.structure import build_adjacency, distance_matrix, external_matrix
 
 from oracles import ew_leq, floyd_warshall_distance_matrix, is_zero, mutually_exclusive
@@ -33,11 +33,6 @@ class TestGraph:
         g = Graph(("a", "b", "c"), frozenset({(0, 2), (0, 1)}))
         assert g.successors() == {0: (1, 2)}
 
-    def test_index_of(self, shortcut_graph):
-        assert shortcut_graph.index_of("C") == 2
-        with pytest.raises(KeyError):
-            shortcut_graph.index_of("Z")
-
 
 class TestAdjacency:
     def test_shortcut_graph_has_exactly_four_edges(self, shortcut_graph):
@@ -47,11 +42,11 @@ class TestAdjacency:
 
     def test_empty_edge_set(self):
         g = Graph(("a", "b"), frozenset())
-        assert build_adjacency(g) == BinaryMatrix.zeros(2)
+        assert build_adjacency(g) == CountMatrix.zeros(2)
 
     def test_single_edge(self):
         g = Graph(("a", "b"), frozenset({(0, 1)}))
-        assert build_adjacency(g) == BinaryMatrix(((0, 1), (0, 0)))
+        assert build_adjacency(g) == CountMatrix(((0, 1), (0, 0)))
 
     def test_directed_not_symmetric(self):
         g = Graph(("a", "b"), frozenset({(0, 1)}))
@@ -74,7 +69,7 @@ class TestDistance:
         assert p[1, 0] is INF
 
     def test_edgeless(self):
-        p = distance_matrix(BinaryMatrix.zeros(3))
+        p = distance_matrix(CountMatrix.zeros(3))
         for i in range(3):
             for j in range(3):
                 assert p[i, j] == 0 if i == j else p[i, j] is INF
@@ -140,7 +135,7 @@ class TestBundle:
 
     def test_chain_external_single_cell(self):
         s = build_structure(Graph(("a", "b", "c"), frozenset({(0, 1), (1, 2)})))
-        assert s.Ehat == BinaryMatrix(((0, 0, 1), (0, 0, 0), (0, 0, 0)))
+        assert s.Ehat == CountMatrix(((0, 0, 1), (0, 0, 0), (0, 0, 0)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))

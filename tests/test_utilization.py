@@ -24,7 +24,7 @@ from netmat.errors import (
     TrajectoryError,
 )
 from netmat.generators import GenConfig
-from netmat.matrices import BinaryMatrix, CountMatrix, ew_add, hadamard
+from netmat.matrices import CountMatrix, ew_add, hadamard
 from netmat.utilization import is_fully_utilized, validate_trajectory
 
 from oracles import (
@@ -58,24 +58,29 @@ def dataset_from_seed(seed, max_n=10, max_traj=20):
 seeds = st.integers(0, 2**32 - 1)
 
 
+# Each hat with the count matrix it binarizes.
+HATS = {"Phat": "P", "Ehat": "E", "Fhat": "F", "Dhat": "D", "Lhat": "L",
+        "That": "T", "Tchat": "Tc"}
+
+
 def assert_bundle_cells(s, u):
     """The invariants the validating constructor would enforce, checked on
-    every matrix of both bundles, plus each hat against the per-cell oracle."""
+    every matrix of both bundles; A and the hats hold only 0 and 1, and each
+    hat matches the per-cell oracle."""
     n = s.A.n
     env = {**vars(s), **vars(u)}
+    assert set(env) == {"A", "P", "E", "F", "D", "L", "T", "Tc", *HATS}
     for name, m in env.items():
         assert type(m.cells) is tuple and len(m.cells) == n, name
         for row in m.cells:
             assert type(row) is tuple and len(row) == n, name
             for v in row:
-                if isinstance(m, BinaryMatrix):
+                if name == "A" or name in HATS:
                     assert type(v) is int and v in (0, 1), (name, v)
                 else:
                     assert v is INF or (type(v) is int and v >= 0), (name, v)
         assert type(m)(m.cells) == m, name
-    hats = {"Phat": "P", "Ehat": "E", "Fhat": "F", "Dhat": "D", "Lhat": "L",
-            "That": "T", "Tchat": "Tc"}
-    for hat, count in hats.items():
+    for hat, count in HATS.items():
         assert env[hat] == binarize_cells(env[count]), hat
 
 
