@@ -240,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "json"), default="csv", help="matrix file format"
     )
     _add_common(p)
-    p.set_defaults(func=_cmd_compute)
+    p.set_defaults(func=_cmd_compute, parser=p)
 
     p = sub.add_parser("audit", help="evaluate every catalogued identity")
     p.add_argument("--graph", required=True, type=Path)
     p.add_argument("--trajectories", required=True, type=Path)
     _add_common(p)
-    p.set_defaults(func=_cmd_audit)
+    p.set_defaults(func=_cmd_audit, parser=p)
 
     p = sub.add_parser("gen", help="generate a random dataset")
     p.add_argument("--config", type=Path, default=None, help="GenConfig JSON file")
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=None, help="random seed")
     _add_common(p)
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, parser=p)
 
     p = sub.add_parser("hunt", help="search for a counterexample to one identity")
     p.add_argument("identity", help="catalogue id, e.g. X.EHAT_L_NEQ_L")
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="random seed")
     _add_common(p)
-    p.set_defaults(func=_cmd_hunt)
+    p.set_defaults(func=_cmd_hunt, parser=p)
 
     return parser
 
@@ -290,7 +290,10 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args, extra = _PARSER.parse_known_args(argv)
+    if extra:
+        # Named by the command's own parser, with its usage line.
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (NetmatError, ValueError, OSError) as e:

@@ -12,13 +12,20 @@ cell equality) or "leq" (elementwise order).
 Each spec is compiled once, and cached by spec, into calls of the row
 kernels of ``netmat.matrices`` over the bundles' row tuples, so no
 intermediate matrix is built.  The kernels own the dimension and INF
-rules; an UndefinedProduct is re-raised prefixed with the spec id.  An
-audit builds one symbol table per dataset and evaluates every spec over
-it.  Both sides are computed in full before any cell is compared, so such
-an exception is raised even when an earlier cell in row-major order would
-be the witness.  The sides then go to ``_first_bad_cell``, which checks
-their dimensions, decides equal sides in one comparison and otherwise
-walks the rows; the witness is the first failing cell in row-major order.
+rules; an UndefinedProduct is re-raised prefixed with the spec id.  Both
+sides are computed in full before any cell is compared, so such an
+exception is raised even when an earlier cell in row-major order would be
+the witness.  The sides then go to ``_first_bad_cell``, which checks their
+dimensions, decides equal sides in one comparison and otherwise walks the
+rows; the witness is the first failing cell in row-major order.
+
+Every operator and relation acts cell by cell, so an audit decides each
+spec over the dataset's distinct cells, the distinct vectors of all
+matrix values at one cell.  A spec that fails or raises there is
+evaluated again over the full matrices, which names the witness and the
+message; the rules above on precedence, dimensions and witnesses hold for
+an audit unchanged.
+
 A verdict is its spec plus the outcome: its id is the spec's id, so reports
 read catalogue specs and specs from elsewhere alike.  A relation that holds
 returns its spec's one shared, immutable verdict.
@@ -41,8 +48,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 
-from .errors import ParseError, UndefinedProduct, UnknownIdentity
+from .errors import NetmatError, ParseError, UndefinedProduct, UnknownIdentity
 from .fileio import cell_to_json
 from .generators import GenConfig, gen_dataset
 from .matrices import _add_rows, _first_bad_cell, _hadamard_rows, _sub_rows
@@ -332,6 +340,26 @@ def _symbol_table(s: StructureBundle, u: UtilizationBundle) -> dict[str, tuple]:
     return rows | {"0": ((0,) * n,) * n}
 
 
+def _distinct_cells(env: dict[str, tuple]) -> dict[str, tuple]:
+    # A one-row symbol table whose columns are the distinct cell vectors of
+    # env (every matrix's value at one cell), in order of first occurrence
+    # in row-major order.  Every operator and relation acts cell by cell,
+    # so a spec raises or fails on env iff it does on this table.  Symbols
+    # the builders make redundant (hats, E, D) stay in the key: an audit
+    # exists to catch a builder that breaks them.
+    symbols = SYMBOLS[:-1]
+    vectors = list(dict.fromkeys(zip(*[chain.from_iterable(env[k]) for k in symbols])))
+    # Padding with a repeated vector changes no outcome.  Rows of at least
+    # 21 cells keep the kernels' row tuples off CPython's tuple free lists,
+    # which hold up to 2000 freed tuples of each length from 1 to 20 for the
+    # life of the process; a sweep of small audits would fill them with rows
+    # of every length its distinct-cell counts take.
+    vectors += vectors[:1] * (21 - len(vectors))
+    table = {k: (column,) for k, column in zip(symbols, zip(*vectors))}
+    table["0"] = ((0,) * len(vectors),)
+    return table
+
+
 _ROW_OPS = {"had": _hadamard_rows, "add": _add_rows, "sub": _sub_rows}
 
 
@@ -389,19 +417,35 @@ def evaluate_identity(
     return _evaluate(spec, _symbol_table(s, u))
 
 
+def _audit(spec: IdentitySpec, cells: dict[str, tuple], env: dict[str, tuple]) -> IdentityVerdict:
+    # A spec that holds on the distinct cells holds on env.  One that fails
+    # or raises there is evaluated again on env, which names the row-major
+    # first witness or raises the exact exception.
+    try:
+        verdict = _evaluate(spec, cells)
+        if verdict.holds:
+            return verdict
+    except NetmatError:
+        pass
+    return _evaluate(spec, env)
+
+
 def audit_dataset(
     d: Dataset, *, name: str = "", specs: tuple[IdentitySpec, ...] = CATALOGUE
 ) -> AuditReport:
     """Build both bundles and evaluate every relation of ``specs``.
 
     ``specs`` defaults to the catalogue; any spec list, such as the output
-    of ``specs_from_json``, goes through the same evaluator, over one symbol
-    table built for the dataset.
+    of ``specs_from_json``, goes through the same evaluator.  Each relation
+    is decided over the dataset's distinct cells, and only one that fails
+    or raises there is evaluated over the full matrices; the verdicts and
+    exceptions are those of ``evaluate_identity`` on the two bundles.
     """
     s = build_structure(d.graph)
     u = build_utilization(d, s)
     env = _symbol_table(s, u)
-    verdicts = tuple(_evaluate(spec, env) for spec in specs)
+    cells = _distinct_cells(env)
+    verdicts = tuple(_audit(spec, cells, env) for spec in specs)
     descriptor = {
         "name": name,
         "n": d.graph.n,

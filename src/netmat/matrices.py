@@ -11,10 +11,10 @@ Cells are validated where data comes in, and only there: the public
 CountMatrix constructor and the two matrix parsers of ``fileio`` run one
 per-cell loop, which names the first bad row or cell.  Matrices the
 package computes skip that loop through the private ``_trusted``
-constructor, because their cells are valid by construction: ``zeros``,
-binarize and the row kernels map valid cells to valid cells (or raise),
-and the adjacency, distance, external and utilization builders emit only
-0/1 flags, hop counts, INF and counts, as tuples of tuples.
+constructor, because their cells are valid by construction: binarize and
+the row kernels map valid cells to valid cells (or raise), and the
+adjacency, distance, external and utilization builders emit only 0/1
+flags, hop counts, INF and counts, as tuples of tuples.
 
 The row kernels ``_hadamard_rows``, ``_add_rows`` and ``_sub_rows`` are the
 only code that knows the elementwise rules, and ``_first_bad_cell`` is the
@@ -126,13 +126,6 @@ class CountMatrix:
 
     def __hash__(self):
         return hash(self.cells)
-
-    @classmethod
-    def zeros(cls, n: int):
-        """All-zero matrix of dimension n."""
-        if n < 1:
-            raise ValueError("matrix dimension must be at least 1")
-        return cls._trusted(((0,) * n,) * n)
 
 
 # Maps a cell to its binarization: 0 and INF to 0, any other count to 1.

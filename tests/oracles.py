@@ -19,6 +19,11 @@ from netmat.structure import StructureBundle
 from netmat.utilization import UtilizationBundle
 
 
+def zeros(n: int) -> CountMatrix:
+    """All-zero matrix of dimension n, through the validating constructor."""
+    return CountMatrix(((0,) * n,) * n)
+
+
 def floyd_warshall_distance_matrix(a: CountMatrix) -> CountMatrix:
     """Hop distances by Floyd-Warshall relaxation over every intermediate node."""
     n = a.n
@@ -167,7 +172,7 @@ def _eval_expr_materialized(expr, env: dict[str, CountMatrix]) -> CountMatrix:
 def evaluate_identity_materialized(
     spec: IdentitySpec, s: StructureBundle, u: UtilizationBundle
 ) -> IdentityVerdict:
-    env = {**vars(s), **vars(u), "0": CountMatrix.zeros(s.A.n)}
+    env = {**vars(s), **vars(u), "0": zeros(s.A.n)}
     try:
         lhs = _eval_expr_materialized(spec.lhs, env)
         rhs = _eval_expr_materialized(spec.rhs, env)

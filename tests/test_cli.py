@@ -369,7 +369,8 @@ class TestManifest:
 
 class TestDroppedFlags:
     """--format belongs to compute and --seed to gen and hunt; any other
-    command rejects them as unknown arguments, before writing anything."""
+    command rejects them as unknown arguments, before writing anything,
+    through its own parser: its usage line and its name in the error."""
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -393,7 +394,9 @@ class TestDroppedFlags:
         with pytest.raises(SystemExit) as exc:
             main([command, *operands, *flag, "--out", str(out)])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: netmat {command} [-h]")
+        assert err.endswith(f"netmat {command}: error: unrecognized arguments: {' '.join(flag)}\n")
         assert not out.exists()
 
 

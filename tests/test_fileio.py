@@ -20,7 +20,7 @@ from netmat.fileio import (
 )
 from netmat.matrices import CountMatrix
 
-from oracles import matrix_to_csv_rows, trajectories_by_token
+from oracles import matrix_to_csv_rows, trajectories_by_token, zeros
 
 
 @st.composite
@@ -195,7 +195,7 @@ class TestMatrixCsv:
 
     def test_label_count_must_match(self):
         with pytest.raises(ValueError):
-            matrix_to_csv(CountMatrix.zeros(2), ("a",))
+            matrix_to_csv(zeros(2), ("a",))
 
     @pytest.mark.parametrize(
         "text",

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netmat import (
@@ -18,8 +18,10 @@ from netmat import (
     build_utilization,
     catalogue_to_json,
     evaluate_identity,
+    gen_dataset,
     get_identity,
     list_identities,
+    sweep_configs,
 )
 from netmat.errors import DimensionMismatch, UnknownIdentity
 from netmat.identities import (
@@ -118,6 +120,26 @@ ME_MINIMUM = {
 
 def _empty_dataset():
     return Dataset(Graph(("a", "b", "c"), frozenset()), ())
+
+
+# a -> b, a -> c, one trajectory a b: A and Phat o F differ at (0, 2),
+# while P(1, 0) is INF where F(1, 0) is 0.
+INF_TIMES_ZERO_AFTER_WITNESS = Dataset(
+    Graph(("a", "b", "c"), frozenset({(0, 1), (0, 2)})), (Trajectory((0, 1)),)
+)
+# On the chain A -> B -> C, A - F goes negative at (1, 2), where two
+# trajectories use the edge; A and A - Fhat already differ at (0, 1).
+NEGATIVE_AFTER_WITNESS = Dataset(
+    Graph(("A", "B", "C"), frozenset({(0, 1), (1, 2)})),
+    (Trajectory((0, 1)), Trajectory((1, 2)), Trajectory((1, 2))),
+)
+# b -> c once and c -> a twice: row 0 holds only F = 0 cells, so the first
+# cell where F differs from 0 is (1, 2) in a later row, and (2, 0) fails
+# with another cell vector; F <= Fhat fails only at (2, 0).
+LATER_ROW_WITNESSES = Dataset(
+    Graph(("a", "b", "c"), frozenset({(1, 2), (2, 0)})),
+    (Trajectory((1, 2)), Trajectory((2, 0)), Trajectory((2, 0))),
+)
 
 
 def _expr_symbols(expr):
@@ -267,24 +289,41 @@ class TestCompiledEvaluator:
             assert evaluate_identity(spec, s, u) == evaluate_identity_materialized(spec, s, u)
 
     def test_inf_times_zero_in_a_later_row_beats_an_earlier_witness(self):
-        # a -> b, a -> c, one trajectory a b: A and Phat o F differ at (0, 2),
-        # while P(1, 0) is INF where F(1, 0) is 0.
-        d = Dataset(Graph(("a", "b", "c"), frozenset({(0, 1), (0, 2)})), (Trajectory((0, 1)),))
+        d = INF_TIMES_ZERO_AFTER_WITNESS
         finite = IdentitySpec("EXT.4", IdentityClass.UNIVERSAL, "eq", "A", _had("Phat", "F"), "")
         assert evaluate_on_dataset(finite, d).witness == Witness(0, 2, 1, 0)
         spec = IdentitySpec("EXT.4", IdentityClass.UNIVERSAL, "eq", "A", _had("P", "F"), "")
         with pytest.raises(UndefinedProduct, match=r"^EXT\.4: INF \* 0 at cell \(1, 0\)$"):
             evaluate_on_dataset(spec, d)
 
-    def test_negative_difference_in_a_later_row_beats_an_earlier_witness(self, chain3_graph):
-        # A - F goes negative at (1, 2), where two trajectories use the edge;
-        # A and A - Fhat already differ at (0, 1).
-        d = Dataset(chain3_graph, (Trajectory((0, 1)), Trajectory((1, 2)), Trajectory((1, 2))))
+    def test_negative_difference_in_a_later_row_beats_an_earlier_witness(self):
+        d = NEGATIVE_AFTER_WITNESS
         finite = IdentitySpec("EXT.5", IdentityClass.UNIVERSAL, "eq", "A", _sub("A", "Fhat"), "")
         assert evaluate_on_dataset(finite, d).witness == Witness(0, 1, 1, 0)
         spec = IdentitySpec("EXT.5", IdentityClass.UNIVERSAL, "eq", "A", _sub("A", "F"), "")
         with pytest.raises(NegativeResult, match=r"^1 - 2 at cell \(1, 2\)$"):
             evaluate_on_dataset(spec, d)
+
+    # An audit decides over distinct cell vectors; the same dataset must
+    # still raise, or name the row-major first witness, as above.
+
+    def test_audit_inf_times_zero_in_a_later_row_beats_an_earlier_witness(self):
+        d = INF_TIMES_ZERO_AFTER_WITNESS
+        finite = IdentitySpec("EXT.4", IdentityClass.UNIVERSAL, "eq", "A", _had("Phat", "F"), "")
+        (v,) = audit_dataset(d, specs=(finite,)).verdicts
+        assert v == IdentityVerdict(finite, False, Witness(0, 2, 1, 0))
+        spec = IdentitySpec("EXT.4", IdentityClass.UNIVERSAL, "eq", "A", _had("P", "F"), "")
+        with pytest.raises(UndefinedProduct, match=r"^EXT\.4: INF \* 0 at cell \(1, 0\)$"):
+            audit_dataset(d, specs=(finite, spec))
+
+    def test_audit_negative_difference_in_a_later_row_beats_an_earlier_witness(self):
+        d = NEGATIVE_AFTER_WITNESS
+        finite = IdentitySpec("EXT.5", IdentityClass.UNIVERSAL, "eq", "A", _sub("A", "Fhat"), "")
+        (v,) = audit_dataset(d, specs=(finite,)).verdicts
+        assert v == IdentityVerdict(finite, False, Witness(0, 1, 1, 0))
+        spec = IdentitySpec("EXT.5", IdentityClass.UNIVERSAL, "eq", "A", _sub("A", "F"), "")
+        with pytest.raises(NegativeResult, match=r"^1 - 2 at cell \(1, 2\)$"):
+            audit_dataset(d, specs=(finite, spec))
 
     def test_bundles_of_different_dimension(self, chain3_graph, shortcut_utilization):
         # A and F agree on the 3x3 corner they share, so a bare-symbol
@@ -303,17 +342,26 @@ class TestCompiledEvaluator:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        seeds,
+        seeds.map(lambda seed: dataset_from_seed(seed, max_n=12)),
         st.lists(
             st.tuples(st.sampled_from(("eq", "leq")), expressions, expressions),
             min_size=1,
             max_size=6,
         ),
     )
-    def test_audit_of_external_specs_matches_materializing_oracle(self, seed, relations):
-        # One symbol table serves every spec of the audit; the first spec
-        # that raises under the oracle is the one whose exception escapes.
-        d = dataset_from_seed(seed, max_n=6)
+    @example(LATER_ROW_WITNESSES, [("eq", "F", "0"), ("leq", "F", "Fhat")])
+    @example(
+        INF_TIMES_ZERO_AFTER_WITNESS,
+        [("eq", "A", _had("Phat", "F")), ("eq", "A", _had("P", "F"))],
+    )
+    @example(
+        NEGATIVE_AFTER_WITNESS,
+        [("eq", "A", _sub("A", "Fhat")), ("eq", "A", _sub("A", "F"))],
+    )
+    def test_audit_of_external_specs_matches_materializing_oracle(self, d, relations):
+        # An audit decides each spec over the dataset's distinct cell
+        # vectors; the first spec that raises under the oracle is the one
+        # whose exception escapes.
         s = build_structure(d.graph)
         u = build_utilization(d, s)
         specs = tuple(
@@ -407,6 +455,16 @@ class TestAudit:
         assert "EXT.7" in text and "F̂ = A" in text and "(B, D): lhs=0 rhs=1" in text
         assert text.splitlines()[4].split() == ["FU.FHAT_EQ_A", "NEGATIVE", "F̂", "≤", "A", "holds"]
         assert "VIOLATED" in text
+
+    def test_catalogue_audits_match_evaluate_identity_over_a_sweep(self):
+        # Witnesses included: an audit's verdicts are those of evaluating
+        # each spec on the full bundles.
+        for cfg in sweep_configs(300, base_seed=5):
+            d = gen_dataset(cfg)
+            s = build_structure(d.graph)
+            u = build_utilization(d, s)
+            expected = tuple(evaluate_identity(spec, s, u) for spec in CATALOGUE)
+            assert audit_dataset(d).verdicts == expected, cfg
 
     def test_render_table_mentions_failures(self, shortcut_dataset):
         text = render_table(audit_dataset(shortcut_dataset, name="fixture"))

@@ -24,6 +24,7 @@ from oracles import (
     hadamard_cells,
     is_zero,
     mutually_exclusive,
+    zeros,
 )
 
 
@@ -70,7 +71,7 @@ class TestConstruction:
             CountMatrix(((True,),))
 
     def test_zeros(self):
-        assert CountMatrix.zeros(3) == CountMatrix(((0,) * 3,) * 3)
+        assert zeros(3) == CountMatrix(((0,) * 3,) * 3)
 
     @pytest.mark.parametrize(
         "bad, shown", [(True, "True"), (1.0, "1.0"), (-1, "-1"), (_Unreachable(), "INF")]
@@ -131,7 +132,7 @@ class TestBinarize:
         )
 
     def test_zero_matrix_fixed(self):
-        assert binarize(CountMatrix.zeros(3)) == CountMatrix.zeros(3)
+        assert binarize(zeros(3)) == zeros(3)
 
     def test_positive_finite_to_one(self):
         assert binarize(CountMatrix(((0, 2), (3, 0)))) == CountMatrix(((0, 1), (1, 0)))
@@ -150,7 +151,7 @@ class TestHadamard:
 
     def test_zero_annihilates(self):
         x = CountMatrix(((4, 9), (1, 7)))
-        assert hadamard(x, CountMatrix.zeros(2)) == CountMatrix.zeros(2)
+        assert hadamard(x, zeros(2)) == zeros(2)
 
     def test_inf_times_zero_is_undefined(self):
         with pytest.raises(UndefinedProduct):
@@ -164,9 +165,9 @@ class TestHadamard:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match=r"^2x2 vs 3x3$"):
-            hadamard(CountMatrix.zeros(2), CountMatrix.zeros(3))
+            hadamard(zeros(2), zeros(3))
         with pytest.raises(DimensionMismatch, match=r"^3x3 vs 2x2$"):
-            hadamard(CountMatrix.zeros(3), CountMatrix.zeros(2))
+            hadamard(zeros(3), zeros(2))
 
     def test_binary_operands_give_binary_result(self):
         out = hadamard(CountMatrix(((1, 0), (1, 1))), CountMatrix(((1, 1), (0, 1))))
@@ -196,7 +197,7 @@ class TestAddSub:
 
     def test_add_zero_is_identity(self):
         x = CountMatrix(((3, 1), (0, 9)))
-        assert ew_add(x, CountMatrix.zeros(2)) == x
+        assert ew_add(x, zeros(2)) == x
 
     def test_add_rejects_inf(self):
         with pytest.raises(InfiniteOperand):
@@ -204,7 +205,7 @@ class TestAddSub:
 
     def test_sub_zero_is_identity(self):
         x = CountMatrix(((3, INF), (0, 9)))
-        assert ew_sub(x, CountMatrix.zeros(2)) == x
+        assert ew_sub(x, zeros(2)) == x
 
     def test_sub_inf_minus_finite_stays_inf(self):
         assert ew_sub(CountMatrix(((INF,),)), CountMatrix(((0,),))) == CountMatrix(
@@ -223,13 +224,13 @@ class TestAddSub:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match=r"^2x2 vs 3x3$"):
-            ew_add(CountMatrix.zeros(2), CountMatrix.zeros(3))
+            ew_add(zeros(2), zeros(3))
         with pytest.raises(DimensionMismatch, match=r"^3x3 vs 2x2$"):
-            ew_add(CountMatrix.zeros(3), CountMatrix.zeros(2))
+            ew_add(zeros(3), zeros(2))
         with pytest.raises(DimensionMismatch, match=r"^2x2 vs 3x3$"):
-            ew_sub(CountMatrix.zeros(2), CountMatrix.zeros(3))
+            ew_sub(zeros(2), zeros(3))
         with pytest.raises(DimensionMismatch, match=r"^3x3 vs 2x2$"):
-            ew_sub(CountMatrix.zeros(3), CountMatrix.zeros(2))
+            ew_sub(zeros(3), zeros(2))
 
     @given(matrix_pairs())
     def test_add_then_sub_round_trips(self, pair):
@@ -275,7 +276,7 @@ class TestZeroAndExclusivity:
     def test_self_exclusive_only_when_zero(self):
         x = CountMatrix(((1, 0), (0, 0)))
         assert not mutually_exclusive(x, x)
-        assert mutually_exclusive(CountMatrix.zeros(2), CountMatrix.zeros(2))
+        assert mutually_exclusive(zeros(2), zeros(2))
 
     def test_inf_counts_as_nonzero(self):
         x = CountMatrix(((INF, 0), (0, 0)))
@@ -285,7 +286,7 @@ class TestZeroAndExclusivity:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mutually_exclusive(CountMatrix.zeros(2), CountMatrix.zeros(3))
+            mutually_exclusive(zeros(2), zeros(3))
 
     @given(matrix_pairs(allow_inf=True))
     def test_symmetric(self, pair):

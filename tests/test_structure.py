@@ -9,7 +9,13 @@ from netmat.generators import GenConfig, gen_digraph
 from netmat.matrices import CountMatrix, binarize, ew_sub, hadamard
 from netmat.structure import build_adjacency, distance_matrix, external_matrix
 
-from oracles import ew_leq, floyd_warshall_distance_matrix, is_zero, mutually_exclusive
+from oracles import (
+    ew_leq,
+    floyd_warshall_distance_matrix,
+    is_zero,
+    mutually_exclusive,
+    zeros,
+)
 
 
 class TestGraph:
@@ -42,7 +48,7 @@ class TestAdjacency:
 
     def test_empty_edge_set(self):
         g = Graph(("a", "b"), frozenset())
-        assert build_adjacency(g) == CountMatrix.zeros(2)
+        assert build_adjacency(g) == zeros(2)
 
     def test_single_edge(self):
         g = Graph(("a", "b"), frozenset({(0, 1)}))
@@ -69,7 +75,7 @@ class TestDistance:
         assert p[1, 0] is INF
 
     def test_edgeless(self):
-        p = distance_matrix(CountMatrix.zeros(3))
+        p = distance_matrix(zeros(3))
         for i in range(3):
             for j in range(3):
                 assert p[i, j] == 0 if i == j else p[i, j] is INF

@@ -38,6 +38,7 @@ from oracles import (
     od_matrix,
     substitute_route_matrix,
     trajectory_fault,
+    zeros,
 )
 
 
@@ -391,7 +392,7 @@ class TestBundle:
             build_utilization(Dataset(d.graph, (t,)), s) for t in d.trajectories
         ]
         for field in ("F", "D", "L", "T", "Tc"):
-            total = CountMatrix.zeros(d.graph.n)
+            total = zeros(d.graph.n)
             for p in parts:
                 total = ew_add(total, getattr(p, field))
             assert total == getattr(whole, field)
