@@ -220,6 +220,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
 
 
+class _CommandParser(argparse.ArgumentParser):
+    # A subcommand rejects the arguments it does not know under its own usage
+    # line; those before the subcommand are the top-level parser's to reject.
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netmat",
@@ -229,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"netmat {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("compute", help="write all structure and utilization matrices")
     p.add_argument("--graph", required=True, type=Path, help="graph edge-list file")
@@ -240,13 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "json"), default="csv", help="matrix file format"
     )
     _add_common(p)
-    p.set_defaults(func=_cmd_compute, parser=p)
+    p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("audit", help="evaluate every catalogued identity")
     p.add_argument("--graph", required=True, type=Path)
     p.add_argument("--trajectories", required=True, type=Path)
     _add_common(p)
-    p.set_defaults(func=_cmd_audit, parser=p)
+    p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("gen", help="generate a random dataset")
     p.add_argument("--config", type=Path, default=None, help="GenConfig JSON file")
@@ -267,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=None, help="random seed")
     _add_common(p)
-    p.set_defaults(func=_cmd_gen, parser=p)
+    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("hunt", help="search for a counterexample to one identity")
     p.add_argument("identity", help="catalogue id, e.g. X.EHAT_L_NEQ_L")
@@ -280,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="random seed")
     _add_common(p)
-    p.set_defaults(func=_cmd_hunt, parser=p)
+    p.set_defaults(func=_cmd_hunt)
 
     return parser
 
@@ -290,10 +300,7 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args, extra = _PARSER.parse_known_args(argv)
-    if extra:
-        # Named by the command's own parser, with its usage line.
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (NetmatError, ValueError, OSError) as e:

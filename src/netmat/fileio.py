@@ -12,8 +12,9 @@ Formats:
                     writes the header and each row's label field, quoting a
                     label that holds ``,`` or ``"``, and the cells, which
                     never need quoting, are spelled directly: a matrix of
-                    single digits as one ASCII buffer with the commas and
-                    newlines put in by slice assignment, any other through
+                    single digits by translating the matrix's byte buffer
+                    (``netmat.matrices``) to ASCII and putting the commas
+                    and newlines in by slice assignment, any other through
                     ``str`` once per distinct value
   matrix JSON       {"n": ..., "labels": [...], "cells": [[...]]} with null
                     encoding unreachable cells
@@ -32,7 +33,7 @@ from operator import add
 from pathlib import Path
 
 from .errors import ParseError, TrajectoryError
-from .matrices import INF, CountMatrix
+from .matrices import INF, CountMatrix, _byte_buffer
 from .structure import Graph, check_labels
 from .utilization import Dataset, Trajectory
 
@@ -183,11 +184,9 @@ def matrix_to_csv(m: CountMatrix, labels: tuple[str, ...]) -> str:
         raise ValueError(f"{len(labels)} labels for a {m.n}x{m.n} matrix")
     header, heads = _row_heads(labels)
     n = m.n
-    try:
-        # Deleting every byte above 9 leaves all n*n cells iff each is one digit.
-        digits = b"".join(map(bytes, m.cells)).translate(_DIGITS, _ABOVE_9)
-    except (TypeError, ValueError):  # an INF cell, or a count above 255
-        digits = b""
+    raw = _byte_buffer(m)
+    # Deleting every byte above 9 leaves all n*n cells iff each is one digit.
+    digits = b"" if raw is None else raw.translate(_DIGITS, _ABOVE_9)
     if len(digits) == n * n:
         # Every cell is one digit: fill the odd bytes of a row with commas
         # and put the newline in place of the last one.

@@ -34,7 +34,8 @@ Catalogue classes:
 
     UNIVERSAL             holds on every dataset; an audit failure means a bug
     MUTUAL_EXCLUSIVITY    zero-product relations; also universal
-    FULLY_UTILIZED_ONLY   holds when every edge carries at least one trajectory
+    FULLY_UTILIZED_ONLY   Fhat = A holds iff every edge carries a trajectory;
+                          Dhat = Phat iff every reachable pair is travelled
     CLAIMED_AUDIT         count-level claims that fail under multiplicity >= 2;
                           reported as machine verdicts, never asserted
     NEGATIVE              known-false forms kept for counterexample demos
@@ -306,7 +307,7 @@ CATALOGUE: tuple[IdentitySpec, ...] = tuple(
         ("E.DHAT_F", _U, "eq", _had("Dhat", "F"), "F", "flow-and-od"),
         ("E.DHAT_FHAT", _U, "eq", _had("Dhat", "Fhat"), "Fhat", "flow-and-od"),
         ("E.A_FHAT", _U, "eq", _had("A", "Fhat"), "Fhat", "flow-and-od"),
-        # Hold exactly when every edge carries at least one trajectory.
+        # Fhat = A iff every edge is travelled, Dhat = Phat iff every reachable pair.
         ("FU.FHAT_EQ_A", _FU, "eq", "Fhat", "A", "fully-utilized"),
         ("FU.DHAT_EQ_PHAT", _FU, "eq", "Dhat", "Phat", "fully-utilized"),
         # Count-level absorption claims; fail once a cell reaches 2.

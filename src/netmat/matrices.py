@@ -16,6 +16,10 @@ the row kernels map valid cells to valid cells (or raise), and the
 adjacency, distance, external and utilization builders emit only 0/1
 flags, hop counts, INF and counts, as tuples of tuples.
 
+binarize alone knows the hat rule.  It translates a matrix's row-major byte
+buffer (``_byte_buffer``, also read by the CSV writer) in one call when
+every cell fits in a byte, and maps any other matrix cell by cell.
+
 The row kernels ``_hadamard_rows``, ``_add_rows`` and ``_sub_rows`` are the
 only code that knows the elementwise rules, and ``_first_bad_cell`` is the
 only walk for the first cell that fails a relation; the wrappers, the
@@ -128,14 +132,26 @@ class CountMatrix:
         return hash(self.cells)
 
 
-# Maps a cell to its binarization: 0 and INF to 0, any other count to 1.
+def _byte_buffer(m: CountMatrix) -> bytes | None:
+    # The cells in row-major order, one byte each; None if one is INF or > 255.
+    try:
+        return b"".join(map(bytes, m.cells))
+    except (TypeError, ValueError):
+        return None
+
+
+# Maps a cell to its binarization: 0 and INF to 0, any other count to 1;
+# _HAT does the same for a byte buffer's cells.
 _BIT = {0: 0, INF: 0}.get
+_HAT = bytes([0]) + bytes([1]) * 255
 
 
 def binarize(m: CountMatrix) -> CountMatrix:
     """1 where the cell is a finite positive count, 0 where it is 0 or INF."""
-    rows = tuple(tuple(map(_BIT, row, repeat(1))) for row in m.cells)
-    return CountMatrix._trusted(rows)
+    raw = _byte_buffer(m)
+    if raw is not None:
+        return CountMatrix._trusted(tuple(zip(*[iter(raw.translate(_HAT))] * m.n)))
+    return CountMatrix._trusted(tuple(tuple(map(_BIT, row, repeat(1))) for row in m.cells))
 
 
 def _check_dimensions(x, y) -> None:

@@ -21,11 +21,11 @@ against their algebraic reconstructions, computed as row tuples, and
 refuses to return a bundle that violates one.
 
 Unpacking joins a matrix's packed rows into one bytes buffer, reads it as
-one flat run of n*n cells and cuts that run into rows of n.  Unpacked
-counts are nonnegative ints by construction, so every matrix of the bundle
-is built without a validating scan (see ``netmat.matrices``).  With 8-bit
-fields the hats come straight from the same buffer, each nonzero byte
-translated to 1.
+one flat run of n*n cells of w bits and cuts that run into rows of n, the
+same way at every field width.  Unpacked counts are nonnegative ints by
+construction, so every matrix of the bundle is built without a validating
+scan (see ``netmat.matrices``).  The five hats come from
+``netmat.matrices.binarize``, the only code that knows the hat rule.
 """
 
 from __future__ import annotations
@@ -138,38 +138,24 @@ class UtilizationBundle:
 
 # array typecode of each unsigned field width in bytes, chosen by itemsize
 # because the letters map to different sizes on different platforms.
-_TYPECODES = {array(c).itemsize: c for c in "QLIH"}
+_TYPECODES = {array(c).itemsize: c for c in "QLIHB"}
 
 
-# bytes.translate table mapping every nonzero byte to 1.
-_HAT = bytes([0]) + bytes([1]) * 255
-
-
-def _unpack(rows: list[int], n: int, w: int) -> tuple[CountMatrix, CountMatrix]:
-    # One packed matrix as its count matrix and that matrix's hat, cut into
-    # rows of n from one buffer of all its rows (module docstring).
-    size = n * w // 8
-    if w == 8:
-        # One byte per field: the little-endian bytes are the row's cells.
-        raw = b"".join([r.to_bytes(size, "little") for r in rows])
-        return (
-            CountMatrix._trusted(tuple(zip(*[iter(raw)] * n))),
-            CountMatrix._trusted(tuple(zip(*[iter(raw.translate(_HAT))] * n))),
-        )
-    # In native byte order memoryview reads each field as one item; on a
+def _unpack(rows: list[int], n: int, w: int) -> CountMatrix:
+    # One packed matrix's counts, cut into rows of n (module docstring).  In
+    # native byte order memoryview reads each field as one item; on a
     # big-endian host the bytes list each row's last column first.
-    raw = b"".join([r.to_bytes(size, sys.byteorder) for r in rows])
-    cells = tuple(zip(*[iter(memoryview(raw).cast(_TYPECODES[w // 8]).tolist())] * n))
+    raw = b"".join([r.to_bytes(n * w // 8, sys.byteorder) for r in rows])
+    cells = tuple(zip(*[iter(memoryview(raw).cast(_TYPECODES[w // 8]))] * n))
     if sys.byteorder == "big":
         cells = tuple(row[::-1] for row in cells)
-    m = CountMatrix._trusted(cells)
-    return m, binarize(m)
+    return CountMatrix._trusted(cells)
 
 
-def _count_all(d: Dataset) -> tuple[tuple[CountMatrix, CountMatrix], ...]:
-    # F, D, L, T and Tc, each with its hat.  Column j of a packed row is
-    # the field at bit w*j (module docstring).  The direct / indirect split
-    # uses the dataset's own edge set.
+def _count_all(d: Dataset) -> tuple[CountMatrix, ...]:
+    # F, D, L, T and Tc.  Column j of a packed row is the field at bit w*j
+    # (module docstring).  The direct / indirect split uses the dataset's
+    # own edge set.
     n = d.graph.n
     w = 8
     while len(d.trajectories) >> w:
@@ -213,24 +199,14 @@ def build_utilization(d: Dataset, s: StructureBundle) -> UtilizationBundle:
     (T = A o L, Tc = Ehat o D, L = T + Tc, D = F + T + Tc); any disagreement
     raises CrossCheckFailure naming the identity and the witness cell.
     """
-    (f, fhat), (dd, dhat), (l, lhat), (t, that), (tc, tchat) = _count_all(d)
+    counts = f, dd, l, t, tc = _count_all(d)
     _cross_check("T = A o L", t, _hadamard_rows(s.A.cells, l.cells))
     _cross_check("Tc = Ehat o D", tc, _hadamard_rows(s.Ehat.cells, dd.cells))
     _cross_check("L = T + Tc", l, _add_rows(t.cells, tc.cells))
     # L has just matched T + Tc cell for cell, so F + L is F + T + Tc.
     _cross_check("D = F + T + Tc", dd, _add_rows(f.cells, l.cells))
-    return UtilizationBundle(
-        F=f,
-        D=dd,
-        L=l,
-        T=t,
-        Tc=tc,
-        Fhat=fhat,
-        Dhat=dhat,
-        Lhat=lhat,
-        That=that,
-        Tchat=tchat,
-    )
+    # The five counts in field order, then their hats in the same order.
+    return UtilizationBundle(*counts, *map(binarize, counts))
 
 
 def is_fully_utilized(u: UtilizationBundle, s: StructureBundle) -> bool:

@@ -370,7 +370,8 @@ class TestManifest:
 class TestDroppedFlags:
     """--format belongs to compute and --seed to gen and hunt; any other
     command rejects them as unknown arguments, before writing anything,
-    through its own parser: its usage line and its name in the error."""
+    through its own parser: its usage line and its name in the error.  A
+    flag before the command is the top-level parser's to reject."""
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -383,21 +384,38 @@ class TestDroppedFlags:
         ],
     )
     def test_exits_2(self, fixture_files, tmp_path, capsys, command, flag):
-        graph, traj = fixture_files
-        operands = {
-            "compute": ["--graph", str(graph), "--trajectories", str(traj)],
-            "audit": ["--graph", str(graph), "--trajectories", str(traj)],
-            "gen": [],
-            "hunt": ["ME.A_EHAT", "--budget", "1"],
-        }[command]
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main([command, *operands, *flag, "--out", str(out)])
+            main([command, *_operands(fixture_files, command), *flag, "--out", str(out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: netmat {command} [-h]")
         assert err.endswith(f"netmat {command}: error: unrecognized arguments: {' '.join(flag)}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compute", "audit", "gen", "hunt"])
+    def test_unknown_flag_before_the_command_is_named_at_top_level(
+        self, fixture_files, tmp_path, capsys, command
+    ):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--bogus", command, *_operands(fixture_files, command), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: netmat [-h] [--version] {compute,audit,gen,hunt}")
+        assert err.endswith("\nnetmat: error: unrecognized arguments: --bogus\n")
+        assert not out.exists()
+
+
+def _operands(fixture_files, command):
+    # Arguments that make a valid run of command on the fixture files.
+    graph, traj = fixture_files
+    return {
+        "compute": ["--graph", str(graph), "--trajectories", str(traj)],
+        "audit": ["--graph", str(graph), "--trajectories", str(traj)],
+        "gen": [],
+        "hunt": ["ME.A_EHAT", "--budget", "1"],
+    }[command]
 
 
 class TestParserReuse:

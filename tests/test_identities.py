@@ -416,6 +416,16 @@ class TestAudit:
             assert (v.witness.row, v.witness.col) == (0, 2)
             assert (v.witness.lhs, v.witness.rhs) == (4, 2)
 
+    def test_every_edge_travelled_is_not_every_reachable_pair(self, chain3_graph):
+        # Each edge of A -> B -> C on its own: Fhat = A, but no trajectory
+        # travels from A to C, so Dhat = Phat fails there.
+        d = Dataset(chain3_graph, (Trajectory((0, 1)), Trajectory((1, 2))))
+        report = audit_dataset(d)
+        byid = {v.id: v for v in report.verdicts}
+        assert byid["FU.FHAT_EQ_A"].holds
+        assert byid["FU.DHAT_EQ_PHAT"].witness == Witness(0, 2, 0, 1)
+        assert report.fully_utilized and report.sound
+
     def test_report_json_shape(self, shortcut_dataset):
         report = audit_dataset(shortcut_dataset, name="fixture")
         obj = report_to_json_obj(report)

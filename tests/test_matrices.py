@@ -353,7 +353,17 @@ class TestMatchesPerCellReference:
         x, y = pair
         assert _outcome(ew_sub, x, y) == _outcome(ew_sub_cells, x, y)
 
-    @given(matrices(allow_inf=True))
+    # Cells from one domain: single digits, counts past one byte, or either
+    # with INF; only a matrix of bytes takes the byte-buffer path.
+    @example(CountMatrix(((255, 0), (1, 255))))
+    @example(CountMatrix(((255, 0), (1, 256))))
+    @example(CountMatrix(((3, 0), (1, INF))))
+    @example(CountMatrix(((300, 0), (1, INF))))
+    @given(
+        st.tuples(st.sampled_from([9, 300]), st.booleans()).flatmap(
+            lambda domain: matrices(max_val=domain[0], allow_inf=domain[1])
+        )
+    )
     def test_binarize(self, m):
         assert _outcome(binarize, m) == _outcome(binarize_cells, m)
 

@@ -98,6 +98,26 @@ configs = st.builds(
 )
 
 
+class TestUnpack:
+    """_unpack reads w-bit fields at every width the counter can choose,
+    through a typecode table chosen per platform; 64-bit fields need 2**32
+    trajectories, so only a direct call reaches them."""
+
+    @pytest.mark.parametrize("w", [8, 16, 32, 64])
+    def test_zero_one_and_largest_field_side_by_side(self, w):
+        values = (0, 1, 2**w - 1)
+        # Each row holds the three values, rotated one column per row.
+        rows = [sum(values[(i + j) % 3] << (w * j) for j in range(3)) for i in range(3)]
+        m = utilization._unpack(rows, 3, w)
+        assert type(m) is CountMatrix
+        # The per-field decode of each packed row.
+        assert m.cells == tuple(
+            tuple((r >> (w * j)) & (2**w - 1) for j in range(3)) for r in rows
+        )
+        assert {v for row in m.cells for v in row} == set(values)
+        assert all(type(v) is int for row in m.cells for v in row)
+
+
 class TestValidation:
     def test_valid_path(self, shortcut_graph):
         validate_trajectory(Trajectory((0, 1, 2, 3)), shortcut_graph)
@@ -318,13 +338,12 @@ class TestBundle:
         count_all = utilization._count_all
 
         def corrupted(d):
-            pairs = list(count_all(d))
-            m, hat = pairs[index]
-            rows = [list(row) for row in m.cells]
+            counts = list(count_all(d))
+            rows = [list(row) for row in counts[index].cells]
             i, j = cell
             rows[i][j] += 1
-            pairs[index] = (CountMatrix(rows), hat)
-            return tuple(pairs)
+            counts[index] = CountMatrix(rows)
+            return tuple(counts)
 
         monkeypatch.setattr(utilization, "_count_all", corrupted)
         with pytest.raises(CrossCheckFailure) as exc:
