@@ -11,7 +11,7 @@ import sys
 import time
 
 from netmat import list_identities
-from netmat.identities import IdentityClass, evaluate_on_dataset, search_counterexample
+from netmat.identities import GATED, evaluate_on_dataset, search_counterexample
 
 
 def main() -> int:
@@ -31,7 +31,6 @@ def main() -> int:
             print(f"unknown ids: {', '.join(sorted(missing))}", file=sys.stderr)
             return 2
 
-    gated = (IdentityClass.UNIVERSAL, IdentityClass.MUTUAL_EXCLUSIVITY)
     violated = []
     print(f"{'identity':<18}{'class':<21}{'outcome'}")
     for spec in specs:
@@ -48,7 +47,7 @@ def main() -> int:
                 f"FALSIFIED at {witness.describe(found.graph.labels)} "
                 f"with {len(found.trajectories)} trajectories ({elapsed:.2f}s)"
             )
-            if spec.kind in gated:
+            if spec.kind in GATED:
                 violated.append(spec.id)
         print(f"{spec.id:<18}{spec.kind.value:<21}{outcome}")
     if violated:

@@ -14,7 +14,7 @@ from collections import Counter
 
 from netmat import audit_dataset, gen_dataset, sweep_configs
 from netmat.generators import GenConfig
-from netmat.identities import IdentityClass
+from netmat.identities import GATED, IdentityClass
 
 
 def replay_command(cfg: GenConfig) -> str:
@@ -37,7 +37,6 @@ def main() -> int:
     holds: Counter = Counter()
     fails: Counter = Counter()
     first_failure = {}
-    gated = (IdentityClass.UNIVERSAL, IdentityClass.MUTUAL_EXCLUSIVITY)
     violations = 0
 
     start = time.perf_counter()
@@ -54,7 +53,7 @@ def main() -> int:
                 fails[kind.value] += 1
                 if verdict.id not in first_failure:
                     first_failure[verdict.id] = (i, cfg, verdict.witness.describe(labels))
-                if kind in gated:
+                if kind in GATED:
                     violations += 1
     elapsed = time.perf_counter() - start
 

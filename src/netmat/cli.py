@@ -25,6 +25,7 @@ from .fileio import (
     load_dataset,
     matrix_to_csv,
     matrix_to_json_obj,
+    read_text,
     trajectories_to_text,
 )
 from .generators import GenConfig, gen_dataset, gen_fully_utilized
@@ -134,7 +135,7 @@ def _merge_gen_config(args) -> GenConfig:
     merged = dict(_GEN_DEFAULTS)
     if args.config is not None:
         try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            loaded = json.loads(read_text(args.config))
         except (json.JSONDecodeError, RecursionError) as e:
             raise ParseError(f"invalid JSON: {e}", source=str(args.config)) from e
         if not isinstance(loaded, dict):

@@ -35,7 +35,7 @@ from pathlib import Path
 from .errors import ParseError, TrajectoryError
 from .matrices import INF, CountMatrix, _byte_buffer
 from .structure import Graph, check_labels
-from .utilization import Dataset, Trajectory
+from .utilization import Dataset, Trajectory, validate_trajectory
 
 
 def _strip_comment(raw: str) -> str:
@@ -105,9 +105,18 @@ def graph_from_text(text: str, source: str = "<graph>") -> Graph:
     return Graph._trusted(labels, frozenset(edges))
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; ParseError naming the file if it is not UTF-8."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}", str(path)) from e
+
+
 def load_graph(path: str | Path) -> Graph:
     path = Path(path)
-    return graph_from_text(path.read_text(encoding="utf-8"), source=str(path))
+    return graph_from_text(read_text(path), source=str(path))
 
 
 def trajectories_to_text(trajectories, labels: tuple[str, ...]) -> str:
@@ -115,51 +124,37 @@ def trajectories_to_text(trajectories, labels: tuple[str, ...]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _dataset_from_text(text: str, graph: Graph, source: str) -> Dataset:
-    index = {lbl: i for i, lbl in enumerate(graph.labels)}
-    line_no = None
-
-    def parsed():
-        # Dataset validates each trajectory as it is yielded, before the
-        # next line is read, so line_no names the line of any failure and
-        # errors surface in line order.
-        nonlocal line_no
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = _strip_comment(raw)
-            if not line:
-                continue
-            try:
-                nodes = tuple(map(index.__getitem__, line.split()))
-            except KeyError as e:
-                # map stops at the first unknown token, which the error holds.
-                token = e.args[0]
-                raise ParseError(f"unknown node label {token!r}", source, line_no) from None
-            yield Trajectory(nodes)
-
-    try:
-        return Dataset(graph, parsed())
-    except TrajectoryError as e:
-        raise ParseError(f"{type(e).__name__}: {e}", source, line_no) from e
-
-
 def trajectories_from_text(
     text: str, graph: Graph, source: str = "<trajectories>"
 ) -> tuple[Trajectory, ...]:
-    return _dataset_from_text(text, graph, source).trajectories
+    """Each line's trajectory, validated on graph; a fault names its line."""
+    index = {lbl: i for i, lbl in enumerate(graph.labels)}
+    trajectories = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw)
+        if not line:
+            continue
+        try:
+            t = Trajectory(tuple(map(index.__getitem__, line.split())))
+            validate_trajectory(t, graph)
+        except KeyError as e:
+            # map stops at the first unknown token, which the error holds.
+            raise ParseError(f"unknown node label {e.args[0]!r}", source, line_no) from None
+        except TrajectoryError as e:
+            raise ParseError(f"{type(e).__name__}: {e}", source, line_no) from e
+        trajectories.append(t)
+    return tuple(trajectories)
 
 
 def load_trajectories(path: str | Path, graph: Graph) -> tuple[Trajectory, ...]:
     path = Path(path)
-    return trajectories_from_text(
-        path.read_text(encoding="utf-8"), graph, source=str(path)
-    )
+    return trajectories_from_text(read_text(path), graph, source=str(path))
 
 
 def load_dataset(graph_path: str | Path, trajectories_path: str | Path) -> Dataset:
     """A graph file and a trajectory file on it, each trajectory validated once."""
     graph = load_graph(graph_path)
-    path = Path(trajectories_path)
-    return _dataset_from_text(path.read_text(encoding="utf-8"), graph, source=str(path))
+    return Dataset._trusted(graph, load_trajectories(trajectories_path, graph))
 
 
 # Cell value -> its ASCII digit, for matrices whose every cell is below 10.

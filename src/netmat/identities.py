@@ -67,7 +67,8 @@ class IdentityClass(str, Enum):
     NEGATIVE = "NEGATIVE"
 
 
-_OPS = ("had", "add", "sub")
+# The classes that hold on every dataset; a failure of one means a bug.
+GATED = (IdentityClass.UNIVERSAL, IdentityClass.MUTUAL_EXCLUSIVITY)
 
 _GLYPH = {
     "A": "A",
@@ -90,8 +91,16 @@ _GLYPH = {
 
 SYMBOLS = tuple(_GLYPH)
 
-_OP_GLYPH = {"had": "∘", "add": "+", "sub": "-"}
-_REL_GLYPH = {"eq": "=", "leq": "≤"}
+# Per operator: its glyph and its row kernel.
+_OPS = {"had": ("∘", _hadamard_rows), "add": ("+", _add_rows), "sub": ("-", _sub_rows)}
+
+
+def _le_row(lr, rr) -> bool:
+    return all(map(operator.le, lr, rr))
+
+
+# Per relation: its glyph, the whole-row test and the failing-cell test.
+_RELATIONS = {"eq": ("=", operator.eq, operator.ne), "leq": ("≤", _le_row, operator.gt)}
 
 
 def render_expr(expr) -> str:
@@ -105,7 +114,7 @@ def render_expr(expr) -> str:
         left = f"({left})"
     if not isinstance(rhs, str):
         right = f"({right})"
-    return f"{left} {_OP_GLYPH[op]} {right}"
+    return f"{left} {_OPS[op][0]} {right}"
 
 
 def _expr_from_obj(obj):
@@ -116,7 +125,8 @@ def _expr_from_obj(obj):
         return obj
     if isinstance(obj, (list, tuple)) and len(obj) == 3:
         op = obj[0]
-        if op not in _OPS:
+        # A JSON operator may be a list, which no dict lookup can take.
+        if not isinstance(op, str) or op not in _OPS:
             raise ValueError(f"unknown operator {op!r}")
         return (op, _expr_from_obj(obj[1]), _expr_from_obj(obj[2]))
     raise ValueError(f"malformed expression {obj!r}")
@@ -144,7 +154,7 @@ class IdentitySpec:
         for key, value in (("id", self.id), ("group", self.group)):
             if not isinstance(value, str):
                 raise ValueError(f"{key} must be a string, got {value!r}")
-        if self.relation not in ("eq", "leq"):
+        if not isinstance(self.relation, str) or self.relation not in _RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
         try:
             object.__setattr__(self, "kind", IdentityClass(self.kind))
@@ -154,7 +164,7 @@ class IdentitySpec:
         object.__setattr__(self, "rhs", _expr_from_obj(self.rhs))
 
     def statement(self) -> str:
-        return f"{render_expr(self.lhs)} {_REL_GLYPH[self.relation]} {render_expr(self.rhs)}"
+        return f"{render_expr(self.lhs)} {_RELATIONS[self.relation][0]} {render_expr(self.rhs)}"
 
 
 @dataclass(frozen=True)
@@ -220,8 +230,7 @@ class AuditReport:
     @property
     def sound(self) -> bool:
         """True iff every UNIVERSAL and MUTUAL_EXCLUSIVITY relation holds."""
-        gated = (IdentityClass.UNIVERSAL, IdentityClass.MUTUAL_EXCLUSIVITY)
-        return all(v.holds for v in self.verdicts if v.spec.kind in gated)
+        return all(v.holds for v in self.verdicts if v.spec.kind in GATED)
 
 
 def _had(a, b):
@@ -361,16 +370,13 @@ def _distinct_cells(env: dict[str, tuple]) -> dict[str, tuple]:
     return table
 
 
-_ROW_OPS = {"had": _hadamard_rows, "add": _add_rows, "sub": _sub_rows}
-
-
 def _compile_expr(expr):
     # A compiled expression maps a symbol table to rows.
     if isinstance(expr, str):
         return operator.itemgetter(expr)
     op, lhs, rhs = expr
     left, right = _compile_expr(lhs), _compile_expr(rhs)
-    rows_of = _ROW_OPS[op]
+    rows_of = _OPS[op][1]
 
     def node(env):
         return rows_of(left(env), right(env))
@@ -385,14 +391,6 @@ def _compile(spec: IdentitySpec):
     return _compile_expr(spec.lhs), _compile_expr(spec.rhs), holds
 
 
-def _le_row(lr, rr) -> bool:
-    return all(map(operator.le, lr, rr))
-
-
-# Per relation: the whole-row test and the failing-cell test.
-_RELATIONS = {"eq": (operator.eq, operator.ne), "leq": (_le_row, operator.gt)}
-
-
 def _evaluate(spec: IdentitySpec, env: dict[str, tuple]) -> IdentityVerdict:
     lhs_fn, rhs_fn, holds = _compile(spec)
     try:
@@ -400,7 +398,7 @@ def _evaluate(spec: IdentitySpec, env: dict[str, tuple]) -> IdentityVerdict:
         rhs = rhs_fn(env)
     except UndefinedProduct as e:
         raise UndefinedProduct(f"{spec.id}: {e}") from e
-    bad = _first_bad_cell(lhs, rhs, *_RELATIONS[spec.relation])
+    bad = _first_bad_cell(lhs, rhs, *_RELATIONS[spec.relation][1:])
     if bad is None:
         return holds
     return IdentityVerdict(spec, False, Witness(*bad))

@@ -23,17 +23,20 @@ every cell fits in a byte, and maps any other matrix cell by cell.
 The row kernels ``_hadamard_rows``, ``_add_rows`` and ``_sub_rows`` are the
 only code that knows the elementwise rules, and ``_first_bad_cell`` is the
 only walk for the first cell that fails a relation; the wrappers, the
-identity evaluator and the utilization cross-checks call them.  A kernel
-checks dimensions, then maps whole rows.  INF has no arithmetic, so an INF
-operand makes that map raise TypeError, and only then do the per-cell rules
-run, which decide the INF cells and which cells raise.
+identity evaluator and the utilization cross-checks call them.  Each
+kernel is one driver, ``_elementwise``, and one cell rule per operator.
+The driver checks dimensions, then maps whole rows with the operator.  INF
+has no arithmetic, so an INF operand makes that map raise TypeError, and
+only then are the cells walked in row-major order with the cell rule,
+which decides the INF cells and raises at the first cell with no value.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from functools import total_ordering
+from itertools import count, repeat
 
 from .errors import (
     DimensionMismatch,
@@ -43,6 +46,7 @@ from .errors import (
 )
 
 
+@total_ordering
 class _Unreachable:
     """Sentinel for "no path exists"; orders above every finite count.
 
@@ -60,32 +64,13 @@ class _Unreachable:
             return False
         return NotImplemented
 
-    def __le__(self, other):
-        if other is INF:
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other is INF:
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other is INF or isinstance(other, int):
-            return True
-        return NotImplemented
-
 
 INF = _Unreachable()
 
 ExtendedCount = int | _Unreachable
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CountMatrix:
     """Square matrix of extended counts; row = source node, column = sink node."""
 
@@ -123,14 +108,6 @@ class CountMatrix:
         i, j = key
         return self.cells[i][j]
 
-    def __eq__(self, other):
-        if isinstance(other, CountMatrix):
-            return self.cells == other.cells
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.cells)
-
 
 def _byte_buffer(m: CountMatrix) -> bytes | None:
     # The cells in row-major order, one byte each; None if one is INF or > 255.
@@ -159,10 +136,23 @@ def _check_dimensions(x, y) -> None:
         raise DimensionMismatch(f"{len(x)}x{len(x)} vs {len(y)}x{len(y)}")
 
 
-def _rowwise(op, x, y) -> tuple[tuple[int, ...], ...]:
-    # map(op, xr, yr) per row pair, all driven from C: no Python frame per row.
-    # Raises TypeError at the first INF operand (see _Unreachable).
-    return tuple(map(tuple, map(map, repeat(op), x, y)))
+def _elementwise(op, cell_rule, x, y) -> tuple[tuple, ...]:
+    # op over every cell pair of x and y, whole rows mapped from C with no
+    # Python frame per row.  An INF operand makes op raise TypeError (see
+    # _Unreachable), and only then are the cells walked with cell_rule.
+    _check_dimensions(x, y)
+    try:
+        return tuple(map(tuple, map(map, repeat(op), x, y)))
+    except TypeError:
+        pass
+    return _walk(cell_rule, x, y)
+
+
+def _walk(cell_rule, x, y) -> tuple[tuple, ...]:
+    # cell_rule(a, b, i, j) for every cell (i, j), in row-major order, so the
+    # first cell that raises is the first in that order.
+    row_pairs = enumerate(zip(x, y))
+    return tuple(tuple(map(cell_rule, xr, yr, repeat(i), count())) for i, (xr, yr) in row_pairs)
 
 
 def _first_bad_cell(x, y, row_ok=operator.eq, bad=operator.ne):
@@ -191,25 +181,16 @@ def hadamard(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     return CountMatrix._trusted(_hadamard_rows(x.cells, y.cells))
 
 
+def _mul_cell(a, b, i, j):
+    if a is not INF and b is not INF:
+        return a * b
+    if a == 0 or b == 0:
+        raise UndefinedProduct(f"INF * 0 at cell ({i}, {j})")
+    return INF
+
+
 def _hadamard_rows(x, y) -> tuple[tuple, ...]:
-    _check_dimensions(x, y)
-    try:
-        return _rowwise(operator.mul, x, y)
-    except TypeError:
-        pass
-    rows = []
-    for i, (xr, yr) in enumerate(zip(x, y)):
-        row = []
-        for j, (a, b) in enumerate(zip(xr, yr)):
-            if a is INF or b is INF:
-                other = b if a is INF else a
-                if other == 0:
-                    raise UndefinedProduct(f"INF * 0 at cell ({i}, {j})")
-                row.append(INF)
-            else:
-                row.append(a * b)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _elementwise(operator.mul, _mul_cell, x, y)
 
 
 def ew_add(x: CountMatrix, y: CountMatrix) -> CountMatrix:
@@ -217,16 +198,14 @@ def ew_add(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     return CountMatrix._trusted(_add_rows(x.cells, y.cells))
 
 
+def _add_cell(a, b, i, j):
+    if a is INF or b is INF:
+        raise InfiniteOperand(f"INF operand at cell ({i}, {j})")
+    return a + b
+
+
 def _add_rows(x, y) -> tuple[tuple[int, ...], ...]:
-    _check_dimensions(x, y)
-    try:
-        return _rowwise(operator.add, x, y)
-    except TypeError:
-        pass
-    for i, (xr, yr) in enumerate(zip(x, y)):
-        for j, (a, b) in enumerate(zip(xr, yr)):
-            if a is INF or b is INF:
-                raise InfiniteOperand(f"INF operand at cell ({i}, {j})")
+    return _elementwise(operator.add, _add_cell, x, y)
 
 
 def ew_sub(x: CountMatrix, y: CountMatrix) -> CountMatrix:
@@ -240,26 +219,19 @@ def ew_sub(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     return CountMatrix._trusted(_sub_rows(x.cells, y.cells))
 
 
+def _sub_cell(a, b, i, j):
+    if a is INF:
+        if b is INF:
+            raise InfiniteOperand(f"INF - INF at cell ({i}, {j})")
+        return INF
+    # INF orders above every count, so this also rejects a finite a - INF.
+    if b > a:
+        raise NegativeResult(f"{a!r} - {b!r} at cell ({i}, {j})")
+    return a - b
+
+
 def _sub_rows(x, y) -> tuple[tuple, ...]:
-    _check_dimensions(x, y)
-    try:
-        rows = _rowwise(operator.sub, x, y)
-    except TypeError:
-        pass
-    else:
-        if min(map(min, rows)) >= 0:
-            return rows
-    rows = []
-    for i, (xr, yr) in enumerate(zip(x, y)):
-        row = []
-        for j, (a, b) in enumerate(zip(xr, yr)):
-            if a is INF:
-                if b is INF:
-                    raise InfiniteOperand(f"INF - INF at cell ({i}, {j})")
-                row.append(INF)
-            elif b is INF or b > a:
-                raise NegativeResult(f"{a!r} - {b!r} at cell ({i}, {j})")
-            else:
-                row.append(a - b)
-        rows.append(tuple(row))
-    return tuple(rows)
+    rows = _elementwise(operator.sub, _sub_cell, x, y)
+    if min(map(min, rows)) < 0:
+        _walk(_sub_cell, x, y)  # raises at the first negative cell
+    return rows

@@ -127,6 +127,26 @@ class TestCompute:
         assert "error:" in capsys.readouterr().err
 
 
+class TestNotUtf8:
+    @pytest.mark.parametrize("bad", ["graph", "trajectories", "config"])
+    def test_exits_2_naming_the_file(self, fixture_files, tmp_path, capsys, bad):
+        graph, traj = fixture_files
+        config = tmp_path / "cfg.json"
+        config.write_text('{"n": 4}')
+        path = {"graph": graph, "trajectories": traj, "config": config}[bad]
+        good = path.read_bytes()
+        path.write_bytes(good + b"\xff")
+        if bad == "config":
+            argv = ["gen", "--config", str(config)]
+        else:
+            argv = ["audit", "--graph", str(graph), "--trajectories", str(traj)]
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: not UTF-8 text: invalid start byte at byte {len(good)}\n"
+        assert not out.exists()
+
+
 class TestAudit:
     def test_fixture_audit_exits_0_and_reports_known_false(self, fixture_files, tmp_path, capsys):
         graph, traj = fixture_files

@@ -102,6 +102,30 @@ class TestInfOrdering:
         assert not INF <= 5
         assert 5 <= INF
 
+    @pytest.mark.parametrize(
+        "other, lt, le, gt, ge",
+        [
+            (0, False, False, True, True),
+            (1, False, False, True, True),
+            (10**18, False, False, True, True),
+            (True, False, False, True, True),
+            (INF, False, True, False, True),
+        ],
+    )
+    def test_truth_table(self, other, lt, le, gt, ge):
+        # INF < other, INF <= other, INF > other, INF >= other, then the same
+        # four comparisons with the operands swapped.
+        assert (INF < other, INF <= other, INF > other, INF >= other) == (lt, le, gt, ge)
+        assert (other > INF, other >= INF, other < INF, other <= INF) == (lt, le, gt, ge)
+
+    @pytest.mark.parametrize("other", [1.5, "a"])
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_orders_only_against_counts(self, op, other):
+        with pytest.raises(TypeError):
+            op(INF, other)
+        with pytest.raises(TypeError):
+            op(other, INF)
+
     def test_inf_not_equal_to_counts(self):
         assert INF != 0
         assert INF != 1
@@ -322,6 +346,18 @@ def _outcome(op, *args):
 _INF_LAST_ROW = (CountMatrix(((3, 2), (1, INF))), CountMatrix(((1, 2), (1, 3))))
 # INF * 0 in the last row after finite rows; x - y is negative in row 0.
 _INF_TIMES_0_LAST_ROW = (CountMatrix(((1, 2), (INF, 1))), CountMatrix(((2, 3), (0, 1))))
+# INF sends x - y through the per-cell walk, which meets the negative 1 - 2
+# at (0, 1) before an INF - INF in a later row, or later in the same row.
+_NEGATIVE_BEFORE_INF_MINUS_INF = (
+    CountMatrix(((INF, 1), (INF, 0))),
+    CountMatrix(((0, 2), (INF, 0))),
+)
+_NEGATIVE_BEFORE_INF_MINUS_INF_SAME_ROW = (
+    CountMatrix(((3, 1, INF), (0, 0, 0), (0, 0, 0))),
+    CountMatrix(((0, 2, INF), (0, 0, 0), (0, 0, 0))),
+)
+# A finite cell minus INF is negative.
+_FINITE_MINUS_INF = (CountMatrix(((INF, 2), (0, 0))), CountMatrix(((1, INF), (0, 0))))
 
 
 class TestMatchesPerCellReference:
@@ -348,6 +384,9 @@ class TestMatchesPerCellReference:
 
     @example(_INF_LAST_ROW)
     @example(_INF_TIMES_0_LAST_ROW)
+    @example(_NEGATIVE_BEFORE_INF_MINUS_INF)
+    @example(_NEGATIVE_BEFORE_INF_MINUS_INF_SAME_ROW)
+    @example(_FINITE_MINUS_INF)
     @given(st.booleans().flatmap(lambda inf: matrix_pairs(allow_inf=inf, max_val=3)))
     def test_ew_sub(self, pair):
         x, y = pair
