@@ -106,10 +106,11 @@ def graph_from_text(text: str, source: str = "<graph>") -> Graph:
 
 
 def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file; ParseError naming the file if it is not UTF-8."""
+    """The text of a UTF-8 file, without a leading byte-order mark;
+    ParseError naming the file if it is not UTF-8."""
     path = Path(path)
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}", str(path)) from e
 
@@ -129,19 +130,32 @@ def trajectories_from_text(
 ) -> tuple[Trajectory, ...]:
     """Each line's trajectory, validated on graph; a fault names its line."""
     index = {lbl: i for i, lbl in enumerate(graph.labels)}
+    edges = graph.edges
     trajectories = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
             continue
         try:
-            t = Trajectory(tuple(map(index.__getitem__, line.split())))
-            validate_trajectory(t, graph)
+            nodes = tuple(map(index.__getitem__, line.split()))
         except KeyError as e:
             # map stops at the first unknown token, which the error holds.
             raise ParseError(f"unknown node label {e.args[0]!r}", source, line_no) from None
-        except TrajectoryError as e:
-            raise ParseError(f"{type(e).__name__}: {e}", source, line_no) from e
+        # Label lookup yields node indices in range, so whole-line tests of
+        # length, repeats and edges decide the line.
+        if (
+            len(nodes) > 1
+            and len(set(nodes)) == len(nodes)
+            and edges.issuperset(zip(nodes, nodes[1:]))
+        ):
+            t = Trajectory._trusted(nodes)
+        else:
+            # The node-by-node checks name the first fault.
+            try:
+                t = Trajectory(nodes)
+                validate_trajectory(t, graph)
+            except TrajectoryError as e:
+                raise ParseError(f"{type(e).__name__}: {e}", source, line_no) from e
         trajectories.append(t)
     return tuple(trajectories)
 

@@ -11,14 +11,21 @@ node pair (i, j) with i strictly before j:
     Tc  the L pairs where no direct edge exists at all
 
 The five count matrices are counted in one backward walk per trajectory
-over packed rows: each matrix row is one Python int holding a w-bit field
+over packed rows: each matrix row is one Python int holding an 8-bit field
 per column, and each trajectory position adds whole bitmasks of the nodes
-after it.  w is the smallest of 8, 16, 32 and 64 bits that holds the number
-of trajectories.  A trajectory never repeats a node, so it adds at most 1 to
-any cell, no cell exceeds the trajectory count and no field carries into
-its neighbour.  Construction then cross-checks the unpacked matrices
-against their algebraic reconstructions, computed as row tuples, and
-refuses to return a bundle that violates one.
+after it.  A trajectory never repeats a node, so it adds at most 1 to any
+cell, and only to the rows of the nodes it walks out of.  A row walked at
+most 255 times therefore holds no field above 255, and no field carries
+into its neighbour.  The counts are unpacked at w bits, the smallest of 8,
+16, 32 and 64 that holds the number of trajectories, which no cell
+exceeds.  When w is 8, no row can be walked 256 times.  Otherwise the walk
+keeps a count per row: each time a row has been walked 255 times, its five
+8-bit rows are added into w-bit per-row totals and cleared, and what is
+left of every row is added once at the end.  So a row is widened during
+the walk only as often as its own traffic needs, never the whole matrix at
+once.  Construction then cross-checks the unpacked matrices against their
+algebraic reconstructions, computed as row tuples, and refuses to return a
+bundle that violates one.
 
 Unpacking joins a matrix's packed rows into one bytes buffer, reads it as
 one flat run of n*n cells of w bits and cuts that run into rows of n, the
@@ -70,7 +77,8 @@ class Trajectory:
 
     @classmethod
     def _trusted(cls, nodes: tuple[int, ...]):
-        # For paths netmat walks itself: at least 2 nodes, none repeated.
+        # For paths netmat walks itself and lines the trajectory reader has
+        # checked: at least 2 nodes, none repeated.
         t = object.__new__(cls)
         t.__dict__["nodes"] = nodes
         return t
@@ -153,18 +161,34 @@ def _unpack(rows: list[int], n: int, w: int) -> CountMatrix:
 
 
 def _count_all(d: Dataset) -> tuple[CountMatrix, ...]:
-    # F, D, L, T and Tc.  Column j of a packed row is the field at bit w*j
-    # (module docstring).  The direct / indirect split uses the dataset's
+    # F, D, L, T and Tc.  Column j of a packed row is the 8-bit field at bit
+    # 8*j (module docstring).  The direct / indirect split uses the dataset's
     # own edge set.
     n = d.graph.n
     w = 8
     while len(d.trajectories) >> w:
         w *= 2
-    bit = [1 << (w * j) for j in range(n)]
+    bit = [1 << (8 * j) for j in range(n)]
     adj = [0] * n
     for i, j in d.graph.edges:
         adj[i] |= bit[j]
-    f, dd, l, t, tc = ([0] * n for _ in range(5))
+    rows = f, dd, l, t, tc = [[0] * n for _ in range(5)]
+    wide = w > 8
+    if wide:
+        k = w // 8
+        totals = [[0] * n for _ in range(5)]
+        walks = [0] * n
+        # Byte j of an 8-bit row lands on byte k*j, the low byte of field j
+        # of a w-bit row; the other bytes stay 0.
+        spread = bytearray(n * k)
+
+        def widen(i):
+            for m, total in zip(rows, totals):
+                spread[::k] = m[i].to_bytes(n, "little")
+                total[i] += int.from_bytes(spread, "little")
+                m[i] = 0
+            walks[i] = 0
+
     for traj in d.trajectories:
         nodes = traj.nodes
         # Walking backwards, nb is the bit of the node right after i and
@@ -180,7 +204,15 @@ def _count_all(d: Dataset) -> tuple[CountMatrix, ...]:
             after |= nb
             dd[i] += after
             nb = bit[i]
-    return tuple(_unpack(rows, n, w) for rows in (f, dd, l, t, tc))
+            if wide:
+                walks[i] += 1
+                if walks[i] == 255:
+                    widen(i)
+    if not wide:
+        return tuple(_unpack(m, n, 8) for m in rows)
+    for i in range(n):
+        widen(i)
+    return tuple(_unpack(total, n, w) for total in totals)
 
 
 def _cross_check(name: str, counted: CountMatrix, derived: tuple[tuple, ...]) -> None:

@@ -90,23 +90,36 @@ class TestCompute:
 
     @pytest.mark.parametrize("command", ["compute", "audit"])
     def test_validates_each_trajectory_once(self, tmp_path, monkeypatch, command):
-        original = utilization.validate_trajectory
+        # A valid line is checked once, by the reader's whole-line tests:
+        # neither the Trajectory constructor nor validate_trajectory runs
+        # between the file and the bundle.  A faulty line runs the two once,
+        # to name its fault.
         calls = []
+        post_init = utilization.Trajectory.__post_init__
+        original = utilization.validate_trajectory
 
-        def counting(t, g):
-            calls.append(t)
+        def constructing(t):
+            calls.append("Trajectory")
+            post_init(t)
+
+        def validating(t, g):
+            calls.append("validate_trajectory")
             original(t, g)
 
+        monkeypatch.setattr(utilization.Trajectory, "__post_init__", constructing)
         for name, module in list(sys.modules.items()):
             if name.startswith("netmat") and getattr(module, "validate_trajectory", None) is original:
-                monkeypatch.setattr(module, "validate_trajectory", counting)
+                monkeypatch.setattr(module, "validate_trajectory", validating)
         graph = tmp_path / "g.txt"
         graph.write_text(GRAPH_TEXT)
         traj = tmp_path / "t.txt"
-        traj.write_text("A B C D\nB D\n")
         argv = [command, "--graph", str(graph), "--trajectories", str(traj), "--quiet"]
+        traj.write_text("A B C D\nB D\n")
         assert main(argv + ["--out", str(tmp_path / "o")]) == 0
-        assert len(calls) == 2
+        assert calls == []
+        traj.write_text("A B C D\nA C\nB D\n")
+        assert main(argv + ["--out", str(tmp_path / "bad")]) == 2
+        assert calls == ["Trajectory", "validate_trajectory"]
 
     def test_empty_trajectory_file(self, tmp_path):
         graph = tmp_path / "g.txt"
@@ -145,6 +158,20 @@ class TestNotUtf8:
         err = capsys.readouterr().err
         assert err == f"error: {path}: not UTF-8 text: invalid start byte at byte {len(good)}\n"
         assert not out.exists()
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("marked", ["graph", "trajectories"])
+    def test_is_not_part_of_the_first_label(self, fixture_files, tmp_path, marked):
+        graph, traj = fixture_files
+        argv = ["compute", "--graph", str(graph), "--trajectories", str(traj), "--quiet"]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        path = {"graph": graph, "trajectories": traj}[marked]
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(argv + ["--out", str(tmp_path / "marked")]) == 0
+        plain = _read_all_bytes(tmp_path / "plain")
+        del plain["run_manifest.json"]
+        assert plain.items() <= _read_all_bytes(tmp_path / "marked").items()
 
 
 class TestAudit:

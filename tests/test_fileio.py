@@ -125,6 +125,17 @@ class TestTrajectoryFormat:
             trajectories_from_text("A B C D A\n", shortcut_graph)
         assert "RepeatedNode" in str(exc.value)
 
+    def test_cycle_along_edges_reports_kind(self):
+        # Every step of line 2 is an edge, so only the repeat check rejects it.
+        g = Graph(("A", "B", "C"), frozenset({(0, 1), (1, 2), (2, 0)}))
+        text = "A B\nB C A B\n"
+        with pytest.raises(ParseError) as want:
+            trajectories_by_token(text, g, "t.txt")
+        with pytest.raises(ParseError) as exc:
+            trajectories_from_text(text, g, "t.txt")
+        assert str(exc.value) == str(want.value)
+        assert exc.value.line == 2 and "RepeatedNode" in str(exc.value)
+
     def test_short_line_reports_kind(self, shortcut_graph):
         with pytest.raises(ParseError) as exc:
             trajectories_from_text("A\n", shortcut_graph)
@@ -134,6 +145,11 @@ class TestTrajectoryFormat:
     @given(st.lists(st.sampled_from(("A", "B", "C", "D", "Z", "AB", " ", "\n", "#"))).map("".join))
     @example("A B\nA B Z C\n")
     @example("A B C D\nB D\n")
+    @example("A B\nB\n")  # too short
+    @example("A B C B\n")  # repeated node
+    @example("A B\nA B D\nA C\n")  # missing edge
+    @example("A B\nZ A\n")  # unknown label
+    @example("# A\nA B # Z\n#\n  \nB D\n")  # comment-only lines
     def test_matches_token_oracle(self, text):
         g = Graph(("A", "B", "C", "D"), frozenset({(0, 1), (1, 2), (2, 3), (1, 3)}))
 

@@ -459,6 +459,47 @@ class TestFieldWidth:
         assert u.L == u.T == u.Tc == _matrix(4, {})
 
 
+class TestWidening:
+    """Counts run in 8-bit fields; past 255 trajectories a row is widened
+    each time it has been walked 255 times and once more at the end, so
+    rows widened a different number of times meet in one matrix."""
+
+    # A->B->C->D with shortcuts A->C and B->D, then D->E->F.
+    graph = Graph(
+        ("A", "B", "C", "D", "E", "F"),
+        frozenset({(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (3, 4), (4, 5)}),
+    )
+
+    def assert_matches_oracles(self, d):
+        s = build_structure(d.graph)
+        u = build_utilization(d, s)
+        assert_bundle_cells(s, u)
+        assert u.F == flow_matrix(d)
+        assert u.D == od_matrix(d)
+        assert u.L == indirect_flow_matrix(d)
+        assert u.T == alternative_route_matrix(d, s)
+        assert u.Tc == substitute_route_matrix(d, s)
+
+    @pytest.mark.parametrize("walks", [254, 255, 256, 510, 511, 766])
+    def test_one_row_walked_past_a_byte(self, walks):
+        # Row A is walked `walks` times, rows B and C about two thirds as
+        # often, and rows D and E a few times.
+        heavy = [(0, 1, 2, 3), (0, 1, 3), (0, 2, 3)]
+        d = Dataset(
+            self.graph,
+            [Trajectory(heavy[k % 3]) for k in range(walks)]
+            + [Trajectory((3, 4, 5))] * 3
+            + [Trajectory((4, 5))],
+        )
+        self.assert_matches_oracles(d)
+
+    @settings(max_examples=30, deadline=None)
+    @given(configs, st.sampled_from([1, 255, 256, 600]))
+    def test_repeated_trajectory_lists_match_oracles(self, cfg, copies):
+        d = gen_dataset(cfg)
+        self.assert_matches_oracles(Dataset(d.graph, d.trajectories * copies))
+
+
 class TestFullyUtilized:
     def test_single_path_leaves_shortcut_unused(
         self, shortcut_utilization, shortcut_structure
