@@ -21,6 +21,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--no-duplicates", action="store_true", help="forbid duplicate trajectories")
     args = parser.parse_args()
+    if args.seed < 0:
+        # random.Random seeds -s and s alike, so a negative seed would
+        # repeat the run of its absolute value under another name.
+        parser.error(f"--seed must be nonnegative, got {args.seed}")
 
     specs = list_identities()
     if args.ids:

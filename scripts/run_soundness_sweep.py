@@ -33,6 +33,10 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=12, help="largest node count")
     parser.add_argument("--max-traj", type=int, default=50, help="largest trajectory count")
     args = parser.parse_args()
+    if args.seed < 0:
+        # random.Random seeds -s and s alike, so a negative seed would
+        # repeat the run of its absolute value under another name.
+        parser.error(f"--seed must be nonnegative, got {args.seed}")
 
     holds: Counter = Counter()
     fails: Counter = Counter()

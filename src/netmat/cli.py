@@ -30,12 +30,14 @@ from .fileio import (
 )
 from .generators import GenConfig, gen_dataset, gen_fully_utilized
 from .identities import (
+    SYMBOLS,
     audit_dataset,
     evaluate_on_dataset,
     get_identity,
     render_table,
     report_to_json_obj,
     search_counterexample,
+    symbol_matrix,
 )
 from .structure import build_structure
 from .utilization import build_utilization, is_fully_utilized
@@ -90,7 +92,6 @@ def _cmd_compute(args) -> int:
     dataset = load_dataset(args.graph, args.trajectories)
     s = build_structure(dataset.graph)
     u = build_utilization(dataset, s)
-    matrices = {**vars(s), **vars(u)}
     summary = {
         "n": dataset.graph.n,
         "edge_count": len(dataset.graph.edges),
@@ -99,7 +100,8 @@ def _cmd_compute(args) -> int:
     }
     labels = dataset.graph.labels
     payloads: dict[str, str] = {"summary.json": _json_text(summary)}
-    for name, matrix in matrices.items():
+    for name in SYMBOLS[:-1]:
+        matrix = symbol_matrix(s, u, name)
         if args.format == "json":
             payloads[f"{name}.json"] = _json_text(matrix_to_json_obj(matrix, labels))
         else:

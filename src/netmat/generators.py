@@ -167,15 +167,26 @@ def sweep_configs(
     max_traj: int = 50,
     allow_duplicates: bool = True,
 ) -> Iterator[GenConfig]:
-    """Deterministic stream of varied configs for bulk property sweeps."""
+    """Deterministic stream of varied configs for bulk property sweeps.
+
+    A negative base_seed raises ValueError at the call, since random.Random
+    would draw the same stream for base_seed and -base_seed.
+    """
+    if base_seed < 0:
+        raise ValueError(f"base seed must be nonnegative, got {base_seed}")
     rng = random.Random(base_seed)
-    for _ in range(count):
-        n = rng.randint(1, max_n)
-        yield GenConfig(
-            n=n,
-            edge_prob=rng.random(),
-            max_traj=rng.randint(0, max_traj),
-            max_len=n if n < 2 else rng.randint(2, n),
-            allow_duplicates=allow_duplicates,
-            seed=rng.getrandbits(63),
-        )
+    return (_sweep_config(rng, max_n, max_traj, allow_duplicates) for _ in range(count))
+
+
+def _sweep_config(
+    rng: random.Random, max_n: int, max_traj: int, allow_duplicates: bool
+) -> GenConfig:
+    n = rng.randint(1, max_n)
+    return GenConfig(
+        n=n,
+        edge_prob=rng.random(),
+        max_traj=rng.randint(0, max_traj),
+        max_len=n if n < 2 else rng.randint(2, n),
+        allow_duplicates=allow_duplicates,
+        seed=rng.getrandbits(63),
+    )

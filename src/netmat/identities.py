@@ -11,7 +11,10 @@ cell equality) or "leq" (elementwise order).
 
 Each spec is compiled once, and cached by spec, into calls of the row
 kernels of ``netmat.matrices`` over the bundles' row tuples, so no
-intermediate matrix is built.  The kernels own the dimension and INF
+intermediate matrix is built.  The kernels read the rows from a symbol
+table that looks each symbol up on its bundle the first time the symbol
+is read, so an evaluation makes only the hats its spec names; an audit
+reads all fifteen matrices.  The kernels own the dimension and INF
 rules; an UndefinedProduct is re-raised prefixed with the spec id.  Both
 sides are computed in full before any cell is compared, so such an
 exception is raised even when an earlier cell in row-major order would be
@@ -54,7 +57,7 @@ from itertools import chain
 from .errors import NetmatError, ParseError, UndefinedProduct, UnknownIdentity
 from .fileio import cell_to_json
 from .generators import GenConfig, gen_dataset
-from .matrices import _add_rows, _first_bad_cell, _hadamard_rows, _sub_rows
+from .matrices import CountMatrix, _add_rows, _first_bad_cell, _hadamard_rows, _sub_rows
 from .structure import Graph, StructureBundle, build_structure
 from .utilization import Dataset, UtilizationBundle, build_utilization, is_fully_utilized
 
@@ -90,6 +93,10 @@ _GLYPH = {
 }
 
 SYMBOLS = tuple(_GLYPH)
+
+# The structure bundle's symbols, which lead _GLYPH; the rest but "0" are
+# the utilization bundle's.
+_STRUCTURE_SYMBOLS = frozenset(SYMBOLS[:5])
 
 # Per operator: its glyph and its row kernel.
 _OPS = {"had": ("∘", _hadamard_rows), "add": ("+", _add_rows), "sub": ("-", _sub_rows)}
@@ -342,12 +349,32 @@ def get_identity(identity_id: str) -> IdentitySpec:
         raise UnknownIdentity(f"no catalogued identity named {identity_id!r}") from None
 
 
-def _symbol_table(s: StructureBundle, u: UtilizationBundle) -> dict[str, tuple]:
-    # The bundles' fields are the matrix symbols, in _GLYPH order; each
-    # symbol maps to its matrix's rows.
-    n = s.A.n
-    rows = {k: m.cells for k, m in (vars(s) | vars(u)).items()}
-    return rows | {"0": ((0,) * n,) * n}
+def symbol_matrix(s: StructureBundle, u: UtilizationBundle, symbol: str) -> CountMatrix:
+    """The matrix a symbol other than ``0`` names on the two bundles.
+
+    A hat is made the first time it is read (``netmat.matrices.hat``).
+    """
+    return getattr(s if symbol in _STRUCTURE_SYMBOLS else u, symbol)
+
+
+class _SymbolTable(dict):
+    # Maps each symbol to its matrix's rows, read off its bundle (and "0"
+    # made) the first time the symbol is looked up, so an evaluation makes
+    # only the hats its spec reads.
+    __slots__ = ("s", "u")
+
+    def __init__(self, s: StructureBundle, u: UtilizationBundle):
+        self.s = s
+        self.u = u
+
+    def __missing__(self, symbol: str) -> tuple:
+        if symbol == "0":
+            n = self.s.A.n
+            rows = ((0,) * n,) * n
+        else:
+            rows = symbol_matrix(self.s, self.u, symbol).cells
+        self[symbol] = rows
+        return rows
 
 
 def _distinct_cells(env: dict[str, tuple]) -> dict[str, tuple]:
@@ -413,7 +440,7 @@ def evaluate_identity(
     exception anywhere in either side wins over a witness in an earlier
     cell.
     """
-    return _evaluate(spec, _symbol_table(s, u))
+    return _evaluate(spec, _SymbolTable(s, u))
 
 
 def _audit(spec: IdentitySpec, cells: dict[str, tuple], env: dict[str, tuple]) -> IdentityVerdict:
@@ -442,7 +469,7 @@ def audit_dataset(
     """
     s = build_structure(d.graph)
     u = build_utilization(d, s)
-    env = _symbol_table(s, u)
+    env = _SymbolTable(s, u)
     cells = _distinct_cells(env)
     verdicts = tuple(_audit(spec, cells, env) for spec in specs)
     descriptor = {
@@ -508,11 +535,14 @@ def search_counterexample(
     Random datasets are generated until one falsifies the relation; the hit
     is greedily minimized before being returned.  None means every instance
     in the budget satisfied the relation.  Deterministic for fixed
-    (identity_id, budget, seed).
+    (identity_id, budget, seed).  A negative seed raises ValueError, since
+    random.Random would draw the same datasets for seed and -seed.
     """
     spec = get_identity(identity_id)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = random.Random(seed)
     for _ in range(budget):
         n = rng.randint(3, 8)

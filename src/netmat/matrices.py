@@ -18,7 +18,9 @@ flags, hop counts, INF and counts, as tuples of tuples.
 
 binarize alone knows the hat rule.  It translates a matrix's row-major byte
 buffer (``_byte_buffer``, also read by the CSV writer) in one call when
-every cell fits in a byte, and maps any other matrix cell by cell.
+every cell fits in a byte, and maps any other matrix cell by cell.  The
+bundles' hats are ``hat`` descriptors, which call binarize the first time
+a hat is read, so a reader that never reads a hat never makes it.
 
 The row kernels ``_hadamard_rows``, ``_add_rows`` and ``_sub_rows`` are the
 only code that knows the elementwise rules, and ``_first_bad_cell`` is the
@@ -129,6 +131,31 @@ def binarize(m: CountMatrix) -> CountMatrix:
     if raw is not None:
         return CountMatrix._trusted(tuple(zip(*[iter(raw.translate(_HAT))] * m.n)))
     return CountMatrix._trusted(tuple(tuple(map(_BIT, row, repeat(1))) for row in m.cells))
+
+
+class hat:
+    """A bundle's binarization of one of its count fields, made on first read.
+
+    ``Phat = hat()`` in a bundle class reads as ``binarize(self.P)``: the
+    count field is the attribute's name without its ``hat`` suffix.  The
+    first read stores the binarization in the instance ``__dict__``, which
+    shadows this non-data descriptor, so every later read is a plain
+    attribute lookup returning the same matrix.  Two threads that both
+    read an unmade hat each compute the same value and one of them is
+    kept, which is harmless.
+    """
+
+    __slots__ = ("name", "count")
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+        self.count = name.removesuffix("hat")
+
+    def __get__(self, bundle, owner=None):
+        if bundle is None:
+            return self
+        m = bundle.__dict__[self.name] = binarize(bundle.__dict__[self.count])
+        return m
 
 
 def _check_dimensions(x, y) -> None:

@@ -11,6 +11,9 @@ byte j is 1 for node j, so an adjacency row's bytes are its node's
 successor set and one hop is an OR of the frontier's successor sets.  A hop
 count of 1 is exactly an edge, so the external matrix is the distance
 matrix with its 1 cells mapped to 0.
+
+The hats Phat and Ehat are made by ``netmat.matrices.binarize`` the first
+time a reader asks for them, so a bundle only ever holds the hats read.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .matrices import INF, CountMatrix, binarize
+from .matrices import INF, CountMatrix, hat
 
 
 def check_labels(labels: tuple[str, ...]) -> None:
@@ -83,19 +86,22 @@ class Graph:
 
 @dataclass(frozen=True)
 class StructureBundle:
-    """The five structural matrices of one graph.
+    """The three structural matrices of one graph and their two hats.
 
     A   adjacency (1 where a directed edge exists)
     P   shortest-path hop counts, INF where unreachable, 0 on the diagonal
     E   P - A: hops beyond the direct edge, so positive exactly where a pair
         is reachable but has no direct edge
+
+    The fields are A, P and E; Phat and Ehat are made from P and E the
+    first time they are read (``netmat.matrices.hat``).
     """
 
     A: CountMatrix
     P: CountMatrix
-    Phat: CountMatrix
     E: CountMatrix
-    Ehat: CountMatrix
+    Phat = hat()
+    Ehat = hat()
 
 
 def build_adjacency(g: Graph) -> CountMatrix:
@@ -153,8 +159,7 @@ def external_matrix(p: CountMatrix) -> CountMatrix:
 
 
 def build_structure(g: Graph) -> StructureBundle:
-    """Build A, P, E and their binarizations for one graph."""
+    """Build A, P and E for one graph; their hats are made when read."""
     a = build_adjacency(g)
     p = distance_matrix(a)
-    e = external_matrix(p)
-    return StructureBundle(A=a, P=p, Phat=binarize(p), E=e, Ehat=binarize(e))
+    return StructureBundle(A=a, P=p, E=external_matrix(p))

@@ -27,12 +27,14 @@ once.  Construction then cross-checks the unpacked matrices against their
 algebraic reconstructions, computed as row tuples, and refuses to return a
 bundle that violates one.
 
-Unpacking joins a matrix's packed rows into one bytes buffer, reads it as
-one flat run of n*n cells of w bits and cuts that run into rows of n, the
-same way at every field width.  Unpacked counts are nonnegative ints by
-construction, so every matrix of the bundle is built without a validating
-scan (see ``netmat.matrices``).  The five hats come from
-``netmat.matrices.binarize``, the only code that knows the hat rule.
+Unpacking joins the packed rows of all five matrices into one bytes
+buffer, reads it as one flat run of 5*n*n cells of w bits and cuts that run
+into 5*n rows of n, the same way at every field width.  Unpacked counts are
+nonnegative ints by construction, so every matrix of the bundle is built
+without a validating scan (see ``netmat.matrices``).  The five hats are
+made by ``netmat.matrices.binarize``, the only code that knows the hat
+rule, the first time each is read; a reader that reads no hat, such as a
+hunt for a relation between counts, makes none of them.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 from .errors import (
     CrossCheckFailure,
@@ -49,7 +51,7 @@ from .errors import (
     TooShort,
     TrajectoryError,
 )
-from .matrices import CountMatrix, _add_rows, _first_bad_cell, _hadamard_rows, binarize
+from .matrices import CountMatrix, _add_rows, _first_bad_cell, _hadamard_rows, hat
 from .structure import Graph, StructureBundle
 
 
@@ -130,18 +132,22 @@ class Dataset:
 
 @dataclass(frozen=True)
 class UtilizationBundle:
-    """The five utilization matrices of one dataset plus their binarizations."""
+    """The five utilization matrices of one dataset and their hats.
+
+    The fields are the five counts; each hat is made from its count the
+    first time it is read (``netmat.matrices.hat``).
+    """
 
     F: CountMatrix
     D: CountMatrix
     L: CountMatrix
     T: CountMatrix
     Tc: CountMatrix
-    Fhat: CountMatrix
-    Dhat: CountMatrix
-    Lhat: CountMatrix
-    That: CountMatrix
-    Tchat: CountMatrix
+    Fhat = hat()
+    Dhat = hat()
+    Lhat = hat()
+    That = hat()
+    Tchat = hat()
 
 
 # array typecode of each unsigned field width in bytes, chosen by itemsize
@@ -149,15 +155,17 @@ class UtilizationBundle:
 _TYPECODES = {array(c).itemsize: c for c in "QLIHB"}
 
 
-def _unpack(rows: list[int], n: int, w: int) -> CountMatrix:
-    # One packed matrix's counts, cut into rows of n (module docstring).  In
-    # native byte order memoryview reads each field as one item; on a
-    # big-endian host the bytes list each row's last column first.
-    raw = b"".join([r.to_bytes(n * w // 8, sys.byteorder) for r in rows])
-    cells = tuple(zip(*[iter(memoryview(raw).cast(_TYPECODES[w // 8]))] * n))
+def _unpack(counts: list[list[int]], n: int, w: int) -> tuple[CountMatrix, ...]:
+    # Each packed matrix's counts, cut from one run into rows of n, n rows
+    # per matrix (module docstring).  In native byte order memoryview reads
+    # each field as one item; on a big-endian host the bytes list each
+    # row's last column first.
+    size = n * w // 8
+    raw = b"".join([r.to_bytes(size, sys.byteorder) for rows in counts for r in rows])
+    cells = zip(*[iter(memoryview(raw).cast(_TYPECODES[w // 8]))] * n)
     if sys.byteorder == "big":
-        cells = tuple(row[::-1] for row in cells)
-    return CountMatrix._trusted(cells)
+        cells = (row[::-1] for row in cells)
+    return tuple(CountMatrix._trusted(tuple(islice(cells, n))) for _ in counts)
 
 
 def _count_all(d: Dataset) -> tuple[CountMatrix, ...]:
@@ -209,10 +217,10 @@ def _count_all(d: Dataset) -> tuple[CountMatrix, ...]:
                 if walks[i] == 255:
                     widen(i)
     if not wide:
-        return tuple(_unpack(m, n, 8) for m in rows)
+        return _unpack(rows, n, 8)
     for i in range(n):
         widen(i)
-    return tuple(_unpack(total, n, w) for total in totals)
+    return _unpack(totals, n, w)
 
 
 def _cross_check(name: str, counted: CountMatrix, derived: tuple[tuple, ...]) -> None:
@@ -225,7 +233,7 @@ def _cross_check(name: str, counted: CountMatrix, derived: tuple[tuple, ...]) ->
 
 
 def build_utilization(d: Dataset, s: StructureBundle) -> UtilizationBundle:
-    """Aggregate all five utilization matrices and their binarizations.
+    """Aggregate all five utilization matrices; their hats are made when read.
 
     The counted matrices are verified against their algebraic forms
     (T = A o L, Tc = Ehat o D, L = T + Tc, D = F + T + Tc); any disagreement
@@ -237,8 +245,7 @@ def build_utilization(d: Dataset, s: StructureBundle) -> UtilizationBundle:
     _cross_check("L = T + Tc", l, _add_rows(t.cells, tc.cells))
     # L has just matched T + Tc cell for cell, so F + L is F + T + Tc.
     _cross_check("D = F + T + Tc", dd, _add_rows(f.cells, l.cells))
-    # The five counts in field order, then their hats in the same order.
-    return UtilizationBundle(*counts, *map(binarize, counts))
+    return UtilizationBundle(*counts)
 
 
 def is_fully_utilized(u: UtilizationBundle, s: StructureBundle) -> bool:

@@ -13,10 +13,16 @@ from netmat import (
     UndefinedProduct,
 )
 from netmat.errors import DimensionMismatch, MissingEdge, RepeatedNode, TooShort, TrajectoryError
-from netmat.identities import IdentitySpec, IdentityVerdict, Witness
+from netmat.identities import SYMBOLS, IdentitySpec, IdentityVerdict, Witness
 from netmat.matrices import CountMatrix
 from netmat.structure import StructureBundle
 from netmat.utilization import UtilizationBundle
+
+
+def bundle_matrices(s: StructureBundle, u: UtilizationBundle) -> dict[str, CountMatrix]:
+    """The 15 matrices of two bundles by symbol, in the package's SYMBOLS
+    order, each read off whichever bundle has it."""
+    return {k: getattr(s if hasattr(s, k) else u, k) for k in SYMBOLS[:-1]}
 
 
 def zeros(n: int) -> CountMatrix:
@@ -172,7 +178,7 @@ def _eval_expr_materialized(expr, env: dict[str, CountMatrix]) -> CountMatrix:
 def evaluate_identity_materialized(
     spec: IdentitySpec, s: StructureBundle, u: UtilizationBundle
 ) -> IdentityVerdict:
-    env = {**vars(s), **vars(u), "0": zeros(s.A.n)}
+    env = bundle_matrices(s, u) | {"0": zeros(s.A.n)}
     try:
         lhs = _eval_expr_materialized(spec.lhs, env)
         rhs = _eval_expr_materialized(spec.rhs, env)

@@ -394,6 +394,12 @@ class TestHunt:
         assert capsys.readouterr().err.startswith("error: budget must be nonnegative")
         assert not out.exists()
 
+    def test_negative_seed_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "h"
+        assert main(["hunt", "X.EHAT_L_NEQ_L", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not out.exists()
+
 
 class TestManifest:
     def test_manifest_lists_emitted_files(self, fixture_files, tmp_path):

@@ -146,6 +146,11 @@ class TestSweepConfigs:
         b = list(sweep_configs(20, base_seed=5))
         assert a == b
 
+    def test_negative_base_seed_rejected_at_the_call(self):
+        # random.Random(-5) draws what random.Random(5) draws.
+        with pytest.raises(ValueError, match="^base seed must be nonnegative, got -5$"):
+            sweep_configs(20, base_seed=-5)
+
     def test_honours_bounds(self):
         for cfg in sweep_configs(50, base_seed=9, max_n=6, max_traj=10):
             assert 1 <= cfg.n <= 6

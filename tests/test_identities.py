@@ -23,6 +23,7 @@ from netmat import (
     list_identities,
     sweep_configs,
 )
+from netmat import identities, matrices
 from netmat.errors import DimensionMismatch, UnknownIdentity
 from netmat.identities import (
     CATALOGUE,
@@ -41,7 +42,7 @@ from netmat.identities import (
 )
 from netmat.matrices import ew_sub, hadamard
 
-from oracles import evaluate_identity_materialized, is_zero, mutually_exclusive
+from oracles import bundle_matrices, evaluate_identity_materialized, is_zero, mutually_exclusive
 from test_utilization import dataset_from_seed
 
 seeds = st.integers(0, 2**32 - 1)
@@ -288,6 +289,22 @@ class TestCompiledEvaluator:
         for spec in CATALOGUE:
             assert evaluate_identity(spec, s, u) == evaluate_identity_materialized(spec, s, u)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seeds, st.permutations(CATALOGUE))
+    def test_catalogue_in_any_order_on_one_fresh_bundle_pair(self, seed, specs):
+        # A hat is made the first time a spec reads it, so the order in
+        # which the specs first read each symbol must not change a verdict.
+        # The oracle reads every matrix, so it gets a bundle pair of its own.
+        d = dataset_from_seed(seed, max_n=8)
+        s = build_structure(d.graph)
+        u = build_utilization(d, s)
+        s_ref = build_structure(d.graph)
+        u_ref = build_utilization(d, s_ref)
+        for spec in specs:
+            assert evaluate_identity(spec, s, u) == evaluate_identity_materialized(
+                spec, s_ref, u_ref
+            )
+
     def test_inf_times_zero_in_a_later_row_beats_an_earlier_witness(self):
         d = INF_TIMES_ZERO_AFTER_WITNESS
         finite = IdentitySpec("EXT.4", IdentityClass.UNIVERSAL, "eq", "A", _had("Phat", "F"), "")
@@ -496,7 +513,7 @@ class TestMutualExclusivityAgreement:
         d = dataset_from_seed(seed, max_n=8)
         s = build_structure(d.graph)
         u = build_utilization(d, s)
-        env = {**vars(s), **vars(u)}
+        env = bundle_matrices(s, u)
         for spec in CATALOGUE:
             if spec.kind is not IdentityClass.MUTUAL_EXCLUSIVITY:
                 continue
@@ -592,6 +609,43 @@ class TestSearch:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             search_counterexample("X.EHAT_L_NEQ_L", -1, 0)
+
+    def test_negative_seed_rejected(self):
+        # random.Random(-3) draws what random.Random(3) draws.
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -3$"):
+            search_counterexample("X.EHAT_L_NEQ_L", 10, -3)
+
+
+class TestHatsMade:
+    """A hat is made by binarize the first time it is read, so a reader
+    makes only the hats it reads."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+        binarize = matrices.binarize
+
+        def counted(m):
+            made.append(m)
+            return binarize(m)
+
+        monkeypatch.setattr(matrices, "binarize", counted)
+        return made
+
+    def test_hunt_of_a_spec_with_no_hat_makes_only_ehat(self, monkeypatch, made):
+        # T1.F_MASKED reads F and A.  build_utilization reads Ehat for its
+        # Tc = Ehat o D cross-check, so each candidate makes that hat alone.
+        tried = []
+        gen = identities.gen_dataset
+        monkeypatch.setattr(identities, "gen_dataset", lambda cfg: tried.append(cfg) or gen(cfg))
+        assert search_counterexample("T1.F_MASKED", 50, 0) is None
+        assert len(tried) == 50
+        assert len(made) == 50
+        assert all(1 not in row for m in made for row in m.cells)  # E has no 1 cell
+
+    def test_audit_makes_all_seven(self, made, shortcut_dataset):
+        audit_dataset(shortcut_dataset)
+        assert len(made) == 7
 
 
 class TestSpecValidation:

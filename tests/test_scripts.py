@@ -72,3 +72,15 @@ def test_hunt_exits_0_when_only_known_false_ids_fall(monkeypatch, capsys):
     assert "X.EHAT_L_NEQ_L    NEGATIVE             FALSIFIED at " in out
     assert "B.DHAT_TC         UNIVERSAL            survived 100 instances" in out
     assert "SOUNDNESS VIOLATED" not in out
+
+
+@pytest.mark.parametrize("script", [sweep, hunt])
+def test_negative_seed_exits_2(monkeypatch, capsys, script):
+    # random.Random(-1) draws what random.Random(1) draws.
+    monkeypatch.setattr(sys, "argv", [Path(script.__file__).name, "--seed", "-1"])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("error: --seed must be nonnegative, got -1")

@@ -30,6 +30,7 @@ from netmat.utilization import is_fully_utilized, validate_trajectory
 from oracles import (
     alternative_route_matrix,
     binarize_cells,
+    bundle_matrices,
     ew_leq,
     flow_matrix,
     indirect_flow_matrix,
@@ -69,7 +70,7 @@ def assert_bundle_cells(s, u):
     every matrix of both bundles; A and the hats hold only 0 and 1, and each
     hat matches the per-cell oracle."""
     n = s.A.n
-    env = {**vars(s), **vars(u)}
+    env = bundle_matrices(s, u)
     assert set(env) == {"A", "P", "E", "F", "D", "L", "T", "Tc", *HATS}
     for name, m in env.items():
         assert type(m.cells) is tuple and len(m.cells) == n, name
@@ -99,23 +100,52 @@ configs = st.builds(
 
 
 class TestUnpack:
-    """_unpack reads w-bit fields at every width the counter can choose,
-    through a typecode table chosen per platform; 64-bit fields need 2**32
-    trajectories, so only a direct call reaches them."""
+    """_unpack reads the five packed matrices as w-bit fields at every width
+    the counter can choose, through a typecode table chosen per platform;
+    64-bit fields need 2**32 trajectories, so only a direct call reaches
+    them."""
 
     @pytest.mark.parametrize("w", [8, 16, 32, 64])
     def test_zero_one_and_largest_field_side_by_side(self, w):
-        values = (0, 1, 2**w - 1)
-        # Each row holds the three values, rotated one column per row.
-        rows = [sum(values[(i + j) % 3] << (w * j) for j in range(3)) for i in range(3)]
-        m = utilization._unpack(rows, 3, w)
-        assert type(m) is CountMatrix
-        # The per-field decode of each packed row.
-        assert m.cells == tuple(
-            tuple((r >> (w * j)) & (2**w - 1) for j in range(3)) for r in rows
-        )
-        assert {v for row in m.cells for v in row} == set(values)
-        assert all(type(v) is int for row in m.cells for v in row)
+        # Matrix k holds 0, 1 + k and the largest field in each row, rotated
+        # one column per row; the five matrices differ, so a cut between
+        # them in the wrong place shows.
+        counts = []
+        for k in range(5):
+            values = (0, 1 + k, 2**w - 1)
+            counts.append(
+                [sum(values[(i + j) % 3] << (w * j) for j in range(3)) for i in range(3)]
+            )
+        ms = utilization._unpack(counts, 3, w)
+        assert len(ms) == 5 and all(type(m) is CountMatrix for m in ms)
+        for k, (m, rows) in enumerate(zip(ms, counts)):
+            # The per-field decode of each packed row.
+            assert m.cells == tuple(
+                tuple((r >> (w * j)) & (2**w - 1) for j in range(3)) for r in rows
+            )
+            assert {v for row in m.cells for v in row} == {0, 1 + k, 2**w - 1}
+            assert all(type(v) is int for row in m.cells for v in row)
+
+
+class TestLazyHats:
+    @settings(max_examples=60, deadline=None)
+    @given(configs, st.sampled_from([1, 300]))
+    def test_each_hat_is_made_from_its_count_on_first_read(self, cfg, copies):
+        # 300 copies of a nonempty trajectory list count in 16-bit fields,
+        # so F, D, L, T and Tc may be binarized cell by cell.  The structure
+        # bundle read is not the one build_utilization read Ehat off.
+        d = gen_dataset(cfg)
+        d = Dataset(d.graph, d.trajectories * copies)
+        u = build_utilization(d, build_structure(d.graph))
+        s = build_structure(d.graph)
+        for bundle in (s, u):
+            for hat, count in HATS.items():
+                if count not in vars(bundle):
+                    continue
+                assert hat not in vars(bundle), hat
+                first = getattr(bundle, hat)
+                assert first == binarize_cells(getattr(bundle, count)), hat
+                assert getattr(bundle, hat) is first, hat
 
 
 class TestValidation:
