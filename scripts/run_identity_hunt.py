@@ -25,6 +25,8 @@ def main() -> int:
         # random.Random seeds -s and s alike, so a negative seed would
         # repeat the run of its absolute value under another name.
         parser.error(f"--seed must be nonnegative, got {args.seed}")
+    if args.budget < 0:
+        parser.error(f"--budget must be nonnegative, got {args.budget}")
 
     specs = list_identities()
     if args.ids:

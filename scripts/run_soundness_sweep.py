@@ -37,6 +37,12 @@ def main() -> int:
         # random.Random seeds -s and s alike, so a negative seed would
         # repeat the run of its absolute value under another name.
         parser.error(f"--seed must be nonnegative, got {args.seed}")
+    if args.count < 0:
+        parser.error(f"--count must be nonnegative, got {args.count}")
+    if args.max_n < 1:
+        parser.error(f"--max-n must be at least 1, got {args.max_n}")
+    if args.max_traj < 0:
+        parser.error(f"--max-traj must be nonnegative, got {args.max_traj}")
 
     holds: Counter = Counter()
     fails: Counter = Counter()

@@ -11,23 +11,30 @@ cell equality) or "leq" (elementwise order).
 
 Each spec is compiled once, and cached by spec, into calls of the row
 kernels of ``netmat.matrices`` over the bundles' row tuples, so no
-intermediate matrix is built.  The kernels read the rows from a symbol
-table that looks each symbol up on its bundle the first time the symbol
-is read, so an evaluation makes only the hats its spec names; an audit
-reads all fifteen matrices.  The kernels own the dimension and INF
-rules; an UndefinedProduct is re-raised prefixed with the spec id.  Both
-sides are computed in full before any cell is compared, so such an
-exception is raised even when an earlier cell in row-major order would be
-the witness.  The sides then go to ``_first_bad_cell``, which checks their
+intermediate matrix is built, and into the column form an audit uses
+(below).  The kernels read the rows from a symbol table that looks each
+symbol up on its bundle the first time the symbol is read, so an
+evaluation makes only the hats its spec names; an audit reads all fifteen
+matrices.  The kernels own the dimension and INF rules; an
+UndefinedProduct is re-raised prefixed with the spec id.  Both sides are
+computed in full before any cell is compared, so such an exception is
+raised even when an earlier cell in row-major order would be the
+witness.  The sides then go to ``_first_bad_cell``, which checks their
 dimensions, decides equal sides in one comparison and otherwise walks the
 rows; the witness is the first failing cell in row-major order.
 
 Every operator and relation acts cell by cell, so an audit decides each
 spec over the dataset's distinct cells, the distinct vectors of all
-matrix values at one cell.  A spec that fails or raises there is
-evaluated again over the full matrices, which names the witness and the
-message; the rules above on precedence, dimensions and witnesses hold for
-an audit unchanged.
+matrix values at one cell, held as one flat column per symbol.  The
+column form maps the plain operators (``operator.mul``, ``add``, ``sub``)
+over the columns and applies the relation's whole-row test to the two
+sides.  On finite cells the plain operators give the kernels' values; an
+INF operand raises TypeError and a negative difference NegativeResult,
+and either leaves the spec undecided.  So a spec holds on the columns iff
+it holds under the kernels, and only a spec that fails or is undecided
+there is evaluated again over the full matrices, which names the witness
+or raises the exact exception; the rules above on precedence, dimensions
+and witnesses hold for an audit unchanged.
 
 A verdict is its spec plus the outcome: its id is the spec's id, so reports
 read catalogue specs and specs from elsewhere alike.  A relation that holds
@@ -54,7 +61,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import chain
 
-from .errors import NetmatError, ParseError, UndefinedProduct, UnknownIdentity
+from .errors import NegativeResult, ParseError, UndefinedProduct, UnknownIdentity
 from .fileio import cell_to_json
 from .generators import GenConfig, gen_dataset
 from .matrices import CountMatrix, _add_rows, _first_bad_cell, _hadamard_rows, _sub_rows
@@ -98,8 +105,12 @@ SYMBOLS = tuple(_GLYPH)
 # the utilization bundle's.
 _STRUCTURE_SYMBOLS = frozenset(SYMBOLS[:5])
 
-# Per operator: its glyph and its row kernel.
-_OPS = {"had": ("∘", _hadamard_rows), "add": ("+", _add_rows), "sub": ("-", _sub_rows)}
+# Per operator: its glyph, its row kernel and its plain operator on finite cells.
+_OPS = {
+    "had": ("∘", _hadamard_rows, operator.mul),
+    "add": ("+", _add_rows, operator.add),
+    "sub": ("-", _sub_rows, operator.sub),
+}
 
 
 def _le_row(lr, rr) -> bool:
@@ -378,22 +389,23 @@ class _SymbolTable(dict):
 
 
 def _distinct_cells(env: dict[str, tuple]) -> dict[str, tuple]:
-    # A one-row symbol table whose columns are the distinct cell vectors of
-    # env (every matrix's value at one cell), in order of first occurrence
-    # in row-major order.  Every operator and relation acts cell by cell,
-    # so a spec raises or fails on env iff it does on this table.  Symbols
+    # A table of one flat column per symbol, holding that matrix's values
+    # at the distinct cell vectors of env (every matrix's value at one
+    # cell), in order of first occurrence in row-major order, plus a column
+    # of zeros for "0".  Every operator and relation acts cell by cell, so
+    # a spec raises or fails on env iff it does on these columns.  Symbols
     # the builders make redundant (hats, E, D) stay in the key: an audit
     # exists to catch a builder that breaks them.
     symbols = SYMBOLS[:-1]
     vectors = list(dict.fromkeys(zip(*[chain.from_iterable(env[k]) for k in symbols])))
-    # Padding with a repeated vector changes no outcome.  Rows of at least
-    # 21 cells keep the kernels' row tuples off CPython's tuple free lists,
-    # which hold up to 2000 freed tuples of each length from 1 to 20 for the
-    # life of the process; a sweep of small audits would fill them with rows
-    # of every length its distinct-cell counts take.
+    # Padding with a repeated vector changes no outcome.  Columns of at
+    # least 21 cells keep the columns an audit computes off CPython's tuple
+    # free lists, which hold up to 2000 freed tuples of each length from 1
+    # to 20 for the life of the process; a sweep of small audits would fill
+    # them with columns of every length its distinct-cell counts take.
     vectors += vectors[:1] * (21 - len(vectors))
-    table = {k: (column,) for k, column in zip(symbols, zip(*vectors))}
-    table["0"] = ((0,) * len(vectors),)
+    table = dict(zip(symbols, zip(*vectors)))
+    table["0"] = (0,) * len(vectors)
     return table
 
 
@@ -411,15 +423,44 @@ def _compile_expr(expr):
     return node
 
 
+def _compile_column(expr):
+    # A compiled expression maps a table of distinct-cell columns to a
+    # column with the plain operators.  An INF operand makes an operator
+    # raise TypeError, and a negative difference raises NegativeResult;
+    # either leaves the spec to the row kernels.
+    if isinstance(expr, str):
+        return operator.itemgetter(expr)
+    op, lhs, rhs = expr
+    left, right = _compile_column(lhs), _compile_column(rhs)
+    cell_op = _OPS[op][2]
+
+    def node(cells):
+        column = tuple(map(cell_op, left(cells), right(cells)))
+        if op == "sub" and min(column) < 0:
+            raise NegativeResult("negative difference")
+        return column
+
+    return node
+
+
 @lru_cache(maxsize=1024)
 def _compile(spec: IdentitySpec):
-    # Both sides, plus the one verdict every holding evaluation returns.
+    # Both sides over rows, the one verdict every holding evaluation
+    # returns, then both sides over distinct-cell columns and the
+    # relation's whole-row test that decides them.
     holds = IdentityVerdict(spec, True)
-    return _compile_expr(spec.lhs), _compile_expr(spec.rhs), holds
+    return (
+        _compile_expr(spec.lhs),
+        _compile_expr(spec.rhs),
+        holds,
+        _compile_column(spec.lhs),
+        _compile_column(spec.rhs),
+        _RELATIONS[spec.relation][1],
+    )
 
 
 def _evaluate(spec: IdentitySpec, env: dict[str, tuple]) -> IdentityVerdict:
-    lhs_fn, rhs_fn, holds = _compile(spec)
+    lhs_fn, rhs_fn, holds = _compile(spec)[:3]
     try:
         lhs = lhs_fn(env)
         rhs = rhs_fn(env)
@@ -443,19 +484,6 @@ def evaluate_identity(
     return _evaluate(spec, _SymbolTable(s, u))
 
 
-def _audit(spec: IdentitySpec, cells: dict[str, tuple], env: dict[str, tuple]) -> IdentityVerdict:
-    # A spec that holds on the distinct cells holds on env.  One that fails
-    # or raises there is evaluated again on env, which names the row-major
-    # first witness or raises the exact exception.
-    try:
-        verdict = _evaluate(spec, cells)
-        if verdict.holds:
-            return verdict
-    except NetmatError:
-        pass
-    return _evaluate(spec, env)
-
-
 def audit_dataset(
     d: Dataset, *, name: str = "", specs: tuple[IdentitySpec, ...] = CATALOGUE
 ) -> AuditReport:
@@ -463,15 +491,30 @@ def audit_dataset(
 
     ``specs`` defaults to the catalogue; any spec list, such as the output
     of ``specs_from_json``, goes through the same evaluator.  Each relation
-    is decided over the dataset's distinct cells, and only one that fails
-    or raises there is evaluated over the full matrices; the verdicts and
-    exceptions are those of ``evaluate_identity`` on the two bundles.
+    is decided with the plain operators over the dataset's distinct cells,
+    and only one that fails, or meets an INF operand or a negative
+    difference, there is evaluated over the full matrices by the row
+    kernels; the verdicts and exceptions are those of ``evaluate_identity``
+    on the two bundles.
     """
     s = build_structure(d.graph)
     u = build_utilization(d, s)
     env = _SymbolTable(s, u)
     cells = _distinct_cells(env)
-    verdicts = tuple(_audit(spec, cells, env) for spec in specs)
+    verdicts = []
+    for spec in specs:
+        # A spec that holds on the distinct-cell columns holds on env.  One
+        # that fails there, or raises for an INF operand or a negative
+        # difference, is evaluated again on env by the row kernels, which
+        # name the row-major first witness or raise the exact exception.
+        _, _, holds, lhs_col, rhs_col, test = _compile(spec)
+        try:
+            if test(lhs_col(cells), rhs_col(cells)):
+                verdicts.append(holds)
+                continue
+        except (TypeError, NegativeResult):
+            pass
+        verdicts.append(_evaluate(spec, env))
     descriptor = {
         "name": name,
         "n": d.graph.n,
@@ -479,7 +522,7 @@ def audit_dataset(
         "edge_count": len(d.graph.edges),
         "trajectory_count": len(d.trajectories),
     }
-    return AuditReport(descriptor, verdicts, is_fully_utilized(u, s))
+    return AuditReport(descriptor, tuple(verdicts), is_fully_utilized(u, s))
 
 
 def evaluate_on_dataset(spec: IdentitySpec, d: Dataset) -> IdentityVerdict:

@@ -23,9 +23,12 @@ bundles' hats are ``hat`` descriptors, which call binarize the first time
 a hat is read, so a reader that never reads a hat never makes it.
 
 The row kernels ``_hadamard_rows``, ``_add_rows`` and ``_sub_rows`` are the
-only code that knows the elementwise rules, and ``_first_bad_cell`` is the
-only walk for the first cell that fails a relation; the wrappers, the
-identity evaluator and the utilization cross-checks call them.  Each
+only code that knows the elementwise rules for INF and negative
+differences, and ``_first_bad_cell`` is the only walk for the first cell
+that fails a relation; the wrappers, the identity evaluator and the
+utilization cross-checks call them.  An audit (``netmat.identities``)
+applies the plain operators to finite cells of distinct-cell columns and
+leaves every INF operand and negative difference to these kernels.  Each
 kernel is one driver, ``_elementwise``, and one cell rule per operator.
 The driver checks dimensions, then maps whole rows with the operator.  INF
 has no arithmetic, so an INF operand makes that map raise TypeError, and

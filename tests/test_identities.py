@@ -134,6 +134,11 @@ NEGATIVE_AFTER_WITNESS = Dataset(
     Graph(("A", "B", "C"), frozenset({(0, 1), (1, 2)})),
     (Trajectory((0, 1)), Trajectory((1, 2)), Trajectory((1, 2))),
 )
+# a -> b travelled twice: A - F is 1 - 2 at (0, 1), and adding F back
+# gives A again, so (A - F) + F = A fails only by its negative difference.
+NEGATIVE_THAT_CANCELS = Dataset(
+    Graph(("a", "b"), frozenset({(0, 1)})), (Trajectory((0, 1)),) * 2
+)
 # b -> c once and c -> a twice: row 0 holds only F = 0 cells, so the first
 # cell where F differs from 0 is (1, 2) in a later row, and (2, 0) fails
 # with another cell vector; F <= Fhat fails only at (2, 0).
@@ -375,6 +380,11 @@ class TestCompiledEvaluator:
         NEGATIVE_AFTER_WITNESS,
         [("eq", "A", _sub("A", "Fhat")), ("eq", "A", _sub("A", "F"))],
     )
+    # The plain operators over distinct-cell columns must leave these to the
+    # row kernels: a negative difference that a later sum cancels, and INF
+    # operands whose product is defined.
+    @example(NEGATIVE_THAT_CANCELS, [("eq", "A", _add(_sub("A", "F"), "F"))])
+    @example(INF_TIMES_ZERO_AFTER_WITNESS, [("eq", _had("P", "P"), _had("P", "P"))])
     def test_audit_of_external_specs_matches_materializing_oracle(self, d, relations):
         # An audit decides each spec over the dataset's distinct cell
         # vectors; the first spec that raises under the oracle is the one
@@ -395,6 +405,22 @@ class TestCompiledEvaluator:
             verdicts = audit_dataset(d, specs=specs).verdicts
             assert verdicts == expected
             assert [v.spec for v in verdicts] == list(specs)
+
+    def test_audit_runs_the_row_kernels_only_for_a_verdict_that_does_not_hold(
+        self, monkeypatch, shortcut_dataset
+    ):
+        # Every catalogue relation that holds is decided on the distinct-cell
+        # columns; a fallback to the full matrices for every spec would give
+        # the same verdicts, only slower.
+        evaluate = identities._evaluate
+        calls = []
+        monkeypatch.setattr(
+            identities, "_evaluate", lambda spec, env: calls.append(spec) or evaluate(spec, env)
+        )
+        for d in (shortcut_dataset, *map(gen_dataset, sweep_configs(6, base_seed=0))):
+            calls.clear()
+            report = audit_dataset(d)
+            assert calls == [v.spec for v in report.verdicts if not v.holds]
 
     def test_holding_verdict_follows_a_witness(self, shortcut_dataset):
         spec = get_identity("X.EHAT_L_NEQ_L")
