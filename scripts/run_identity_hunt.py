@@ -34,8 +34,7 @@ def main() -> int:
         specs = [s for s in specs if s.id in wanted]
         missing = wanted - {s.id for s in specs}
         if missing:
-            print(f"unknown ids: {', '.join(sorted(missing))}", file=sys.stderr)
-            return 2
+            parser.error(f"unknown ids: {', '.join(sorted(missing))}")
 
     violated = []
     print(f"{'identity':<18}{'class':<21}{'outcome'}")

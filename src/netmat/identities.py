@@ -9,32 +9,24 @@ An expression is either a symbol name or an (op, lhs, rhs) triple with op
 one of "had" (Hadamard product), "add", "sub".  Relations are "eq" (exact
 cell equality) or "leq" (elementwise order).
 
-Each spec is compiled once, and cached by spec, into calls of the row
-kernels of ``netmat.matrices`` over the bundles' row tuples, so no
-intermediate matrix is built, and into the column form an audit uses
-(below).  The kernels read the rows from a symbol table that looks each
-symbol up on its bundle the first time the symbol is read, so an
-evaluation makes only the hats its spec names; an audit reads all fifteen
-matrices.  The kernels own the dimension and INF rules; an
-UndefinedProduct is re-raised prefixed with the spec id.  Both sides are
-computed in full before any cell is compared, so such an exception is
-raised even when an earlier cell in row-major order would be the
-witness.  The sides then go to ``_first_bad_cell``, which checks their
-dimensions, decides equal sides in one comparison and otherwise walks the
-rows; the witness is the first failing cell in row-major order.
-
-Every operator and relation acts cell by cell, so an audit decides each
-spec over the dataset's distinct cells, the distinct vectors of all
-matrix values at one cell, held as one flat column per symbol.  The
-column form maps the plain operators (``operator.mul``, ``add``, ``sub``)
-over the columns and applies the relation's whole-row test to the two
-sides.  On finite cells the plain operators give the kernels' values; an
-INF operand raises TypeError and a negative difference NegativeResult,
-and either leaves the spec undecided.  So a spec holds on the columns iff
-it holds under the kernels, and only a spec that fails or is undecided
-there is evaluated again over the full matrices, which names the witness
-or raises the exact exception; the rules above on precedence, dimensions
-and witnesses hold for an audit unchanged.
+Every operator and relation acts cell by cell, so each spec compiles once,
+on its first evaluation and onto the spec, into one form over flat cell
+columns: a table holds one column per symbol and, beside them, each
+entry's row-major cell.  ``evaluate_identity`` reads the full table, one
+entry per cell, whose columns are made on first read, so it makes only the
+hats its spec names; an audit reads the distinct table, one entry per
+distinct vector of the fifteen matrices' values at one cell, in order of
+first occurrence.  A node maps the plain operator (``operator.mul``,
+``add``, ``sub``) over its two columns; an INF operand (TypeError) or a
+negative difference sends it to the cell rules of ``netmat.matrices``,
+which give the exact values or raise at the first such entry.  Columns of
+different dimension raise DimensionMismatch, and an UndefinedProduct is
+re-raised prefixed with the spec id.  Both sides are computed in full
+before any cell is compared, so such an exception wins over an earlier
+witness.  A relation that fails its whole-column test is witnessed at its
+first failing entry.  A cell's values depend only on its vector, and
+entries come in order of first occurrence, so on either table the first
+entry that raises or fails is the first such cell in row-major order.
 
 A verdict is its spec plus the outcome: its id is the spec's id, so reports
 read catalogue specs and specs from elsewhere alike.  A relation that holds
@@ -56,15 +48,17 @@ from __future__ import annotations
 import json
 import operator
 import random
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
-from itertools import chain
+from functools import cached_property
+from itertools import chain, compress, count
+from math import isqrt
 
-from .errors import NegativeResult, ParseError, UndefinedProduct, UnknownIdentity
+from .errors import DimensionMismatch, ParseError, UndefinedProduct, UnknownIdentity
 from .fileio import cell_to_json
 from .generators import GenConfig, gen_dataset
-from .matrices import CountMatrix, _add_rows, _first_bad_cell, _hadamard_rows, _sub_rows
+from .matrices import CountMatrix, _add_cell, _mul_cell, _sub_cell
 from .structure import Graph, StructureBundle, build_structure
 from .utilization import Dataset, UtilizationBundle, build_utilization, is_fully_utilized
 
@@ -105,20 +99,21 @@ SYMBOLS = tuple(_GLYPH)
 # the utilization bundle's.
 _STRUCTURE_SYMBOLS = frozenset(SYMBOLS[:5])
 
-# Per operator: its glyph, its row kernel and its plain operator on finite cells.
+# Per operator: its glyph, its plain operator on finite cells and its cell
+# rule, which decides INF operands and negative differences.
 _OPS = {
-    "had": ("∘", _hadamard_rows, operator.mul),
-    "add": ("+", _add_rows, operator.add),
-    "sub": ("-", _sub_rows, operator.sub),
+    "had": ("∘", operator.mul, _mul_cell),
+    "add": ("+", operator.add, _add_cell),
+    "sub": ("-", operator.sub, _sub_cell),
 }
 
 
-def _le_row(lr, rr) -> bool:
-    return all(map(operator.le, lr, rr))
+def _le_column(lc, rc) -> bool:
+    return all(map(operator.le, lc, rc))
 
 
-# Per relation: its glyph, the whole-row test and the failing-cell test.
-_RELATIONS = {"eq": ("=", operator.eq, operator.ne), "leq": ("≤", _le_row, operator.gt)}
+# Per relation: its glyph, the whole-column test and the failing-cell test.
+_RELATIONS = {"eq": ("=", operator.eq, operator.ne), "leq": ("≤", _le_column, operator.gt)}
 
 
 def render_expr(expr) -> str:
@@ -183,6 +178,17 @@ class IdentitySpec:
 
     def statement(self) -> str:
         return f"{render_expr(self.lhs)} {_RELATIONS[self.relation][0]} {render_expr(self.rhs)}"
+
+    @cached_property
+    def _compiled(self):
+        # Both sides compiled, the one verdict every holding evaluation
+        # returns, and the relation's tests.  Kept in the instance dict, out
+        # of ==, hash and repr; __getstate__ keeps it out of pickles too.
+        lhs, rhs = _compile_expr(self.lhs), _compile_expr(self.rhs)
+        return (lhs, rhs, IdentityVerdict(self, True), *_RELATIONS[self.relation][1:])
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -368,108 +374,115 @@ def symbol_matrix(s: StructureBundle, u: UtilizationBundle, symbol: str) -> Coun
     return getattr(s if symbol in _STRUCTURE_SYMBOLS else u, symbol)
 
 
-class _SymbolTable(dict):
-    # Maps each symbol to its matrix's rows, read off its bundle (and "0"
-    # made) the first time the symbol is looked up, so an evaluation makes
-    # only the hats its spec reads.
-    __slots__ = ("s", "u")
+class _CellTable(dict):
+    # One flat column per symbol: entry k holds the symbol's value at the
+    # cell with row-major index cells[k] of the n x n matrices.  A column
+    # missing from the table is read off its bundle (and "0" made) the first
+    # time its symbol is looked up, so an evaluation makes only the hats
+    # its spec reads.
+    __slots__ = ("n", "cells", "bundles")
 
-    def __init__(self, s: StructureBundle, u: UtilizationBundle):
-        self.s = s
-        self.u = u
+    def __init__(self, n: int, cells: range | list[int], bundles: tuple):
+        self.n = n
+        self.cells = cells
+        self.bundles = bundles
 
     def __missing__(self, symbol: str) -> tuple:
         if symbol == "0":
-            n = self.s.A.n
-            rows = ((0,) * n,) * n
+            column = (0,) * len(self.cells)
         else:
-            rows = symbol_matrix(self.s, self.u, symbol).cells
-        self[symbol] = rows
-        return rows
+            column = tuple(chain.from_iterable(symbol_matrix(*self.bundles, symbol).cells))
+        self[symbol] = column
+        return column
+
+    def layout(self, size: int) -> tuple[int, range | list[int]]:
+        # n and cells for a column of size entries: on bundles of different
+        # dimension a full table also holds the other bundle's columns.
+        if size == len(self.cells):
+            return self.n, self.cells
+        return isqrt(size), range(size)
 
 
-def _distinct_cells(env: dict[str, tuple]) -> dict[str, tuple]:
-    # A table of one flat column per symbol, holding that matrix's values
-    # at the distinct cell vectors of env (every matrix's value at one
-    # cell), in order of first occurrence in row-major order, plus a column
-    # of zeros for "0".  Every operator and relation acts cell by cell, so
-    # a spec raises or fails on env iff it does on these columns.  Symbols
-    # the builders make redundant (hats, E, D) stay in the key: an audit
-    # exists to catch a builder that breaks them.
+def _full_table(s: StructureBundle, u: UtilizationBundle) -> _CellTable:
+    # One entry per cell, in row-major order.
+    n = s.A.n
+    return _CellTable(n, range(n * n), (s, u))
+
+
+def _distinct_table(s: StructureBundle, u: UtilizationBundle) -> _CellTable:
+    # One entry per distinct vector of every matrix's value at one cell, in
+    # order of first occurrence in row-major order, with that first cell,
+    # built with no Python frame per cell.  Symbols the builders make
+    # redundant (hats, E, D) stay in the key: an audit exists to catch a
+    # builder that breaks them.
     symbols = SYMBOLS[:-1]
-    vectors = list(dict.fromkeys(zip(*[chain.from_iterable(env[k]) for k in symbols])))
-    # Padding with a repeated vector changes no outcome.  Columns of at
+    first = {}
+    chains = [chain.from_iterable(symbol_matrix(s, u, k).cells) for k in symbols]
+    deque(map(first.setdefault, zip(*chains), count()), 0)
+    vectors, cells = list(first), list(first.values())
+    # Padding with a repeated entry changes no outcome.  Columns of at
     # least 21 cells keep the columns an audit computes off CPython's tuple
     # free lists, which hold up to 2000 freed tuples of each length from 1
     # to 20 for the life of the process; a sweep of small audits would fill
     # them with columns of every length its distinct-cell counts take.
-    vectors += vectors[:1] * (21 - len(vectors))
-    table = dict(zip(symbols, zip(*vectors)))
-    table["0"] = (0,) * len(vectors)
+    pad = 21 - len(cells)
+    vectors += vectors[:1] * pad
+    cells += cells[:1] * pad
+    table = _CellTable(s.A.n, cells, (s, u))
+    table.update(zip(symbols, zip(*vectors)))
     return table
 
 
+def _check_lengths(x: tuple, y: tuple) -> None:
+    # Only full-table columns differ in length, so each is n * n long.
+    if len(x) != len(y):
+        a, b = isqrt(len(x)), isqrt(len(y))
+        raise DimensionMismatch(f"{a}x{a} vs {b}x{b}")
+
+
+def _walk(cell_rule, x: tuple, y: tuple, table: _CellTable) -> tuple:
+    # cell_rule(a, b, i, j) for every entry, in order, with (i, j) the
+    # entry's cell, so the first entry that raises names the cell.
+    n, cells = table.layout(len(x))
+    return tuple(cell_rule(a, b, *divmod(c, n)) for a, b, c in zip(x, y, cells))
+
+
 def _compile_expr(expr):
-    # A compiled expression maps a symbol table to rows.
+    # A compiled expression maps a table to the column of its values.
     if isinstance(expr, str):
         return operator.itemgetter(expr)
     op, lhs, rhs = expr
     left, right = _compile_expr(lhs), _compile_expr(rhs)
-    rows_of = _OPS[op][1]
+    _, plain, cell_rule = _OPS[op]
+    signed = op == "sub"
 
-    def node(env):
-        return rows_of(left(env), right(env))
-
-    return node
-
-
-def _compile_column(expr):
-    # A compiled expression maps a table of distinct-cell columns to a
-    # column with the plain operators.  An INF operand makes an operator
-    # raise TypeError, and a negative difference raises NegativeResult;
-    # either leaves the spec to the row kernels.
-    if isinstance(expr, str):
-        return operator.itemgetter(expr)
-    op, lhs, rhs = expr
-    left, right = _compile_column(lhs), _compile_column(rhs)
-    cell_op = _OPS[op][2]
-
-    def node(cells):
-        column = tuple(map(cell_op, left(cells), right(cells)))
-        if op == "sub" and min(column) < 0:
-            raise NegativeResult("negative difference")
+    def node(table):
+        x, y = left(table), right(table)
+        _check_lengths(x, y)
+        try:
+            column = tuple(map(plain, x, y))
+        except TypeError:  # an INF operand
+            return _walk(cell_rule, x, y, table)
+        if signed and min(column) < 0:
+            return _walk(cell_rule, x, y, table)  # raises at the first negative cell
         return column
 
     return node
 
 
-@lru_cache(maxsize=1024)
-def _compile(spec: IdentitySpec):
-    # Both sides over rows, the one verdict every holding evaluation
-    # returns, then both sides over distinct-cell columns and the
-    # relation's whole-row test that decides them.
-    holds = IdentityVerdict(spec, True)
-    return (
-        _compile_expr(spec.lhs),
-        _compile_expr(spec.rhs),
-        holds,
-        _compile_column(spec.lhs),
-        _compile_column(spec.rhs),
-        _RELATIONS[spec.relation][1],
-    )
-
-
-def _evaluate(spec: IdentitySpec, env: dict[str, tuple]) -> IdentityVerdict:
-    lhs_fn, rhs_fn, holds = _compile(spec)[:3]
+def _decide(spec: IdentitySpec, table: _CellTable) -> IdentityVerdict:
+    lhs_fn, rhs_fn, holds, test, bad = spec._compiled
     try:
-        lhs = lhs_fn(env)
-        rhs = rhs_fn(env)
+        lhs = lhs_fn(table)
+        rhs = rhs_fn(table)
     except UndefinedProduct as e:
         raise UndefinedProduct(f"{spec.id}: {e}") from e
-    bad = _first_bad_cell(lhs, rhs, *_RELATIONS[spec.relation][1:])
-    if bad is None:
+    _check_lengths(lhs, rhs)
+    if test(lhs, rhs):
         return holds
-    return IdentityVerdict(spec, False, Witness(*bad))
+    k = next(compress(count(), map(bad, lhs, rhs)))
+    n, cells = table.layout(len(lhs))
+    return IdentityVerdict(spec, False, Witness(*divmod(cells[k], n), lhs[k], rhs[k]))
 
 
 def evaluate_identity(
@@ -481,7 +494,7 @@ def evaluate_identity(
     exception anywhere in either side wins over a witness in an earlier
     cell.
     """
-    return _evaluate(spec, _SymbolTable(s, u))
+    return _decide(spec, _full_table(s, u))
 
 
 def audit_dataset(
@@ -491,30 +504,13 @@ def audit_dataset(
 
     ``specs`` defaults to the catalogue; any spec list, such as the output
     of ``specs_from_json``, goes through the same evaluator.  Each relation
-    is decided with the plain operators over the dataset's distinct cells,
-    and only one that fails, or meets an INF operand or a negative
-    difference, there is evaluated over the full matrices by the row
-    kernels; the verdicts and exceptions are those of ``evaluate_identity``
-    on the two bundles.
+    is decided over the dataset's distinct cells, with the verdicts and
+    exceptions of ``evaluate_identity`` on the two bundles.
     """
     s = build_structure(d.graph)
     u = build_utilization(d, s)
-    env = _SymbolTable(s, u)
-    cells = _distinct_cells(env)
-    verdicts = []
-    for spec in specs:
-        # A spec that holds on the distinct-cell columns holds on env.  One
-        # that fails there, or raises for an INF operand or a negative
-        # difference, is evaluated again on env by the row kernels, which
-        # name the row-major first witness or raise the exact exception.
-        _, _, holds, lhs_col, rhs_col, test = _compile(spec)
-        try:
-            if test(lhs_col(cells), rhs_col(cells)):
-                verdicts.append(holds)
-                continue
-        except (TypeError, NegativeResult):
-            pass
-        verdicts.append(_evaluate(spec, env))
+    table = _distinct_table(s, u)
+    verdicts = tuple(_decide(spec, table) for spec in specs)
     descriptor = {
         "name": name,
         "n": d.graph.n,
@@ -522,7 +518,7 @@ def audit_dataset(
         "edge_count": len(d.graph.edges),
         "trajectory_count": len(d.trajectories),
     }
-    return AuditReport(descriptor, tuple(verdicts), is_fully_utilized(u, s))
+    return AuditReport(descriptor, verdicts, is_fully_utilized(u, s))
 
 
 def evaluate_on_dataset(spec: IdentitySpec, d: Dataset) -> IdentityVerdict:

@@ -22,18 +22,19 @@ every cell fits in a byte, and maps any other matrix cell by cell.  The
 bundles' hats are ``hat`` descriptors, which call binarize the first time
 a hat is read, so a reader that never reads a hat never makes it.
 
-The row kernels ``_hadamard_rows``, ``_add_rows`` and ``_sub_rows`` are the
-only code that knows the elementwise rules for INF and negative
-differences, and ``_first_bad_cell`` is the only walk for the first cell
-that fails a relation; the wrappers, the identity evaluator and the
-utilization cross-checks call them.  An audit (``netmat.identities``)
-applies the plain operators to finite cells of distinct-cell columns and
-leaves every INF operand and negative difference to these kernels.  Each
-kernel is one driver, ``_elementwise``, and one cell rule per operator.
-The driver checks dimensions, then maps whole rows with the operator.  INF
-has no arithmetic, so an INF operand makes that map raise TypeError, and
-only then are the cells walked in row-major order with the cell rule,
-which decides the INF cells and raises at the first cell with no value.
+The cell rules ``_mul_cell``, ``_add_cell`` and ``_sub_cell`` are the only
+code that knows the elementwise rules for INF and negative differences.
+The identity evaluator (``netmat.identities``) maps the plain operators
+over flat cell columns and hands every INF operand and negative difference
+to them.  The row kernels ``_hadamard_rows``, ``_add_rows`` and
+``_sub_rows`` do the same over rows; they serve the wrappers and the
+utilization cross-checks, and ``_first_bad_cell`` is the cross-checks'
+walk for the first cell where two matrices differ.  Each kernel is one
+driver, ``_elementwise``, and one cell rule per operator.  The driver
+checks dimensions, then maps whole rows with the operator.  INF has no
+arithmetic, so an INF operand makes that map raise TypeError, and only
+then are the cells walked in row-major order with the cell rule, which
+decides the INF cells and raises at the first cell with no value.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class _Unreachable:
     """Sentinel for "no path exists"; orders above every finite count.
 
     It has no arithmetic: INF + 1, 1 + INF, INF - 1, 1 - INF, INF * 0,
-    0 * INF and INF * INF raise TypeError, which the row kernels rely on.
+    0 * INF and INF * INF raise TypeError, which the evaluators rely on.
     """
 
     __slots__ = ()
@@ -185,18 +186,15 @@ def _walk(cell_rule, x, y) -> tuple[tuple, ...]:
     return tuple(tuple(map(cell_rule, xr, yr, repeat(i), count())) for i, (xr, yr) in row_pairs)
 
 
-def _first_bad_cell(x, y, row_ok=operator.eq, bad=operator.ne):
-    # (i, j, a, b) of the first cell in row-major order where bad(a, b), else
-    # None.  Rows where row_ok holds are skipped; it holds on equal rows, so
-    # equal matrices take one comparison.
+def _first_bad_cell(x, y):
+    # (i, j, a, b) of the first cell in row-major order where a != b, else
+    # None; equal matrices take one comparison.
     _check_dimensions(x, y)
     if x == y:
         return None
     for i, (xr, yr) in enumerate(zip(x, y)):
-        if row_ok(xr, yr):
-            continue
         for j, (a, b) in enumerate(zip(xr, yr)):
-            if bad(a, b):
+            if a != b:
                 return i, j, a, b
     return None
 

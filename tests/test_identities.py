@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -351,11 +354,32 @@ class TestCompiledEvaluator:
         # A and F agree on the 3x3 corner they share, so a bare-symbol
         # relation is caught only by the dimension check.
         s = build_structure(chain3_graph)
-        cases = (("eq", _had("A", "F"), "0"), ("eq", "A", "F"), ("leq", "A", "F"))
-        for relation, lhs, rhs in cases:
+        cases = (
+            ("eq", _had("A", "F"), "0", "3x3 vs 4x4"),
+            ("eq", "A", "F", "3x3 vs 4x4"),
+            ("leq", "A", "F", "3x3 vs 4x4"),
+            ("eq", "F", "A", "4x4 vs 3x3"),
+            ("eq", "F", "0", "4x4 vs 3x3"),
+            ("eq", _add("A", "F"), "F", "3x3 vs 4x4"),
+        )
+        for relation, lhs, rhs, message in cases:
             spec = IdentitySpec("X", IdentityClass.UNIVERSAL, relation, lhs, rhs, "")
-            with pytest.raises(DimensionMismatch, match=r"^3x3 vs 4x4$"):
+            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
                 evaluate_identity(spec, s, shortcut_utilization)
+        # A relation over one bundle's symbols alone never meets the
+        # mismatch, and its witness or exception names a cell of that
+        # bundle's matrices: (1, 3) is the eighth cell of a 4x4 matrix.
+        cases = (
+            ("eq", "A", _had("Phat", "A"), (True, None)),
+            ("eq", _had("P", "A"), "A", (UndefinedProduct, "X: INF * 0 at cell (1, 0)")),
+            ("eq", "T", _had("T", "Tc"), (False, Witness(1, 3, 1, 0))),
+            ("eq", _sub("Tc", "L"), "Tc", (NegativeResult, "0 - 1 at cell (1, 3)")),
+        )
+        for relation, lhs, rhs, expected in cases:
+            spec = IdentitySpec("X", IdentityClass.UNIVERSAL, relation, lhs, rhs, "")
+            outcome = _outcome(evaluate_identity, spec, s, shortcut_utilization)
+            assert outcome == expected
+            assert outcome == _outcome(evaluate_identity_materialized, spec, s, shortcut_utilization)
 
     def test_spec_with_list_expressions(self, shortcut_structure, shortcut_utilization):
         spec = IdentitySpec("EXT.6", IdentityClass.NEGATIVE, "eq", ["had", "Ehat", "L"], "L", "")
@@ -381,7 +405,7 @@ class TestCompiledEvaluator:
         [("eq", "A", _sub("A", "Fhat")), ("eq", "A", _sub("A", "F"))],
     )
     # The plain operators over distinct-cell columns must leave these to the
-    # row kernels: a negative difference that a later sum cancels, and INF
+    # cell rules: a negative difference that a later sum cancels, and INF
     # operands whose product is defined.
     @example(NEGATIVE_THAT_CANCELS, [("eq", "A", _add(_sub("A", "F"), "F"))])
     @example(INF_TIMES_ZERO_AFTER_WITNESS, [("eq", _had("P", "P"), _had("P", "P"))])
@@ -406,21 +430,43 @@ class TestCompiledEvaluator:
             assert verdicts == expected
             assert [v.spec for v in verdicts] == list(specs)
 
-    def test_audit_runs_the_row_kernels_only_for_a_verdict_that_does_not_hold(
-        self, monkeypatch, shortcut_dataset
-    ):
-        # Every catalogue relation that holds is decided on the distinct-cell
-        # columns; a fallback to the full matrices for every spec would give
-        # the same verdicts, only slower.
-        evaluate = identities._evaluate
-        calls = []
-        monkeypatch.setattr(
-            identities, "_evaluate", lambda spec, env: calls.append(spec) or evaluate(spec, env)
-        )
+    def test_audit_reads_only_distinct_cells(self, monkeypatch, shortcut_dataset):
+        # Every verdict of an audit, failing ones included, comes from the
+        # distinct-cell table: no audit flattens a whole matrix.
+        def no_full_table(s, u):
+            raise AssertionError("an audit built the full table")
+
+        monkeypatch.setattr(identities, "_full_table", no_full_table)
         for d in (shortcut_dataset, *map(gen_dataset, sweep_configs(6, base_seed=0))):
-            calls.clear()
-            report = audit_dataset(d)
-            assert calls == [v.spec for v in report.verdicts if not v.holds]
+            s = build_structure(d.graph)
+            u = build_utilization(d, s)
+            expected = tuple(evaluate_identity_materialized(spec, s, u) for spec in CATALOGUE)
+            assert audit_dataset(d).verdicts == expected
+
+    def test_evaluation_leaves_a_spec_unchanged_as_a_value(self, shortcut_dataset):
+        # Each spec holds its compiled form once evaluated; two equal specs
+        # built apart, one evaluated and one not, stay equal as values.
+        fields = [f.name for f in dataclasses.fields(IdentitySpec)]
+        assert fields == ["id", "kind", "relation", "lhs", "rhs", "group"]
+        evaluated, fresh = (
+            tuple(IdentitySpec(*dataclasses.astuple(spec)) for spec in CATALOGUE)
+            for _ in range(2)
+        )
+
+        def values(specs):
+            return [(spec, hash(spec), repr(spec)) for spec in specs]
+
+        before = values(fresh)
+        catalogue_json = catalogue_to_json()
+        assert values(evaluated) == before
+        audit_dataset(shortcut_dataset, specs=evaluated)
+        audit_dataset(shortcut_dataset)
+        assert values(evaluated) == values(fresh) == before
+        assert catalogue_to_json() == catalogue_json
+        # An evaluated spec pickles and copies as its fields alone.
+        for a, b in zip(evaluated, fresh):
+            for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a)):
+                assert twin == a and twin.__dict__ == b.__dict__
 
     def test_holding_verdict_follows_a_witness(self, shortcut_dataset):
         spec = get_identity("X.EHAT_L_NEQ_L")
