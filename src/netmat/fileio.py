@@ -211,16 +211,17 @@ def matrix_to_csv(m: CountMatrix, labels: tuple[str, ...]) -> str:
 
 
 def _parse_cell(token: str, source: str, line_no: int):
+    # Only what matrix_to_csv writes: INF or a run of ASCII digits.  int()
+    # alone would also take "-1", "+1", "1_0" and non-ASCII digits.
     token = token.strip()
     if token == "INF":
         return INF
     try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(f"bad cell value {token!r}", source, line_no) from None
-    if value < 0:
-        raise ParseError(f"negative cell value {value}", source, line_no)
-    return value
+        if token.isascii() and token.isdigit():
+            return int(token)
+    except ValueError:  # more digits than int() converts from a string
+        pass
+    raise ParseError(f"bad cell value {token!r}", source, line_no)
 
 
 def _check_matrix_labels(labels, source: str, line_no: int | None = None) -> None:

@@ -11,22 +11,23 @@ cell equality) or "leq" (elementwise order).
 
 Every operator and relation acts cell by cell, so each spec compiles once,
 on its first evaluation and onto the spec, into one form over flat cell
-columns: a table holds one column per symbol and, beside them, each
-entry's row-major cell.  ``evaluate_identity`` reads the full table, one
-entry per cell, whose columns are made on first read, so it makes only the
-hats its spec names; an audit reads the distinct table, one entry per
+columns: a table holds one list per symbol and, beside them, each entry's
+row-major cell.  ``evaluate_identity`` reads the full table, one entry per
+cell, whose columns are made on first read, so it makes only the hats its
+spec names; an audit reads the distinct table, exactly one entry per
 distinct vector of the fifteen matrices' values at one cell, in order of
-first occurrence.  A node maps the plain operator (``operator.mul``,
-``add``, ``sub``) over its two columns; an INF operand (TypeError) or a
-negative difference sends it to the cell rules of ``netmat.matrices``,
-which give the exact values or raise at the first such entry.  Columns of
-different dimension raise DimensionMismatch, and an UndefinedProduct is
-re-raised prefixed with the spec id.  Both sides are computed in full
-before any cell is compared, so such an exception wins over an earlier
-witness.  A relation that fails its whole-column test is witnessed at its
-first failing entry.  A cell's values depend only on its vector, and
-entries come in order of first occurrence, so on either table the first
-entry that raises or fails is the first such cell in row-major order.
+first occurrence, with no padding.  A node maps the plain operator
+(``operator.mul``, ``add``, ``sub``) over its two columns; an INF operand
+(TypeError) or a negative difference sends it to the cell rules of
+``netmat.matrices``, which give the exact values or raise at the first
+such entry.  Columns of different dimension raise DimensionMismatch, and
+an UndefinedProduct is re-raised prefixed with the spec id.  Both sides
+are computed in full before any cell is compared, so such an exception
+wins over an earlier witness.  A relation that fails its whole-column test
+is witnessed at its first failing entry.  A cell's values depend only on
+its vector, and entries come in order of first occurrence, so on either
+table the first entry that raises or fails is the first such cell in
+row-major order.
 
 A verdict is its spec plus the outcome: its id is the spec's id, so reports
 read catalogue specs and specs from elsewhere alike.  A relation that holds
@@ -98,6 +99,10 @@ SYMBOLS = tuple(_GLYPH)
 # The structure bundle's symbols, which lead _GLYPH; the rest but "0" are
 # the utilization bundle's.
 _STRUCTURE_SYMBOLS = frozenset(SYMBOLS[:5])
+
+# Each bundle's matrices in SYMBOLS order, read by one call per bundle.
+_STRUCTURE_MATRICES = operator.attrgetter(*SYMBOLS[:5])
+_UTILIZATION_MATRICES = operator.attrgetter(*SYMBOLS[5:-1])
 
 # Per operator: its glyph, its plain operator on finite cells and its cell
 # rule, which decides INF operands and negative differences.
@@ -375,11 +380,12 @@ def symbol_matrix(s: StructureBundle, u: UtilizationBundle, symbol: str) -> Coun
 
 
 class _CellTable(dict):
-    # One flat column per symbol: entry k holds the symbol's value at the
+    # One flat list per symbol: entry k holds the symbol's value at the
     # cell with row-major index cells[k] of the n x n matrices.  A column
     # missing from the table is read off its bundle (and "0" made) the first
     # time its symbol is looked up, so an evaluation makes only the hats
-    # its spec reads.
+    # its spec reads.  Computed columns are lists too: a list never equals
+    # a tuple of the same entries.
     __slots__ = ("n", "cells", "bundles")
 
     def __init__(self, n: int, cells: range | list[int], bundles: tuple):
@@ -387,11 +393,11 @@ class _CellTable(dict):
         self.cells = cells
         self.bundles = bundles
 
-    def __missing__(self, symbol: str) -> tuple:
+    def __missing__(self, symbol: str) -> list:
         if symbol == "0":
-            column = (0,) * len(self.cells)
+            column = [0] * len(self.cells)
         else:
-            column = tuple(chain.from_iterable(symbol_matrix(*self.bundles, symbol).cells))
+            column = list(chain.from_iterable(symbol_matrix(*self.bundles, symbol).cells))
         self[symbol] = column
         return column
 
@@ -414,37 +420,29 @@ def _distinct_table(s: StructureBundle, u: UtilizationBundle) -> _CellTable:
     # order of first occurrence in row-major order, with that first cell,
     # built with no Python frame per cell.  Symbols the builders make
     # redundant (hats, E, D) stay in the key: an audit exists to catch a
-    # builder that breaks them.
-    symbols = SYMBOLS[:-1]
+    # builder that breaks them.  Lists, not tuples: CPython keeps up to 2000
+    # freed tuples of each length from 1 to 20 on free lists for the life
+    # of the process, and a sweep of small audits would fill them.
     first = {}
-    chains = [chain.from_iterable(symbol_matrix(s, u, k).cells) for k in symbols]
+    matrices = _STRUCTURE_MATRICES(s) + _UTILIZATION_MATRICES(u)
+    chains = [chain.from_iterable(m.cells) for m in matrices]
     deque(map(first.setdefault, zip(*chains), count()), 0)
-    vectors, cells = list(first), list(first.values())
-    # Padding with a repeated entry changes no outcome.  Columns of at
-    # least 21 cells keep the columns an audit computes off CPython's tuple
-    # free lists, which hold up to 2000 freed tuples of each length from 1
-    # to 20 for the life of the process; a sweep of small audits would fill
-    # them with columns of every length its distinct-cell counts take.
-    pad = 21 - len(cells)
-    vectors += vectors[:1] * pad
-    cells += cells[:1] * pad
-    table = _CellTable(s.A.n, cells, (s, u))
-    table.update(zip(symbols, zip(*vectors)))
+    table = _CellTable(s.A.n, list(first.values()), (s, u))
+    table.update(zip(SYMBOLS[:-1], map(list, zip(*first))))
     return table
 
 
-def _check_lengths(x: tuple, y: tuple) -> None:
+def _mismatch(x: list, y: list) -> DimensionMismatch:
     # Only full-table columns differ in length, so each is n * n long.
-    if len(x) != len(y):
-        a, b = isqrt(len(x)), isqrt(len(y))
-        raise DimensionMismatch(f"{a}x{a} vs {b}x{b}")
+    a, b = isqrt(len(x)), isqrt(len(y))
+    return DimensionMismatch(f"{a}x{a} vs {b}x{b}")
 
 
-def _walk(cell_rule, x: tuple, y: tuple, table: _CellTable) -> tuple:
+def _walk(cell_rule, x: list, y: list, table: _CellTable) -> list:
     # cell_rule(a, b, i, j) for every entry, in order, with (i, j) the
     # entry's cell, so the first entry that raises names the cell.
     n, cells = table.layout(len(x))
-    return tuple(cell_rule(a, b, *divmod(c, n)) for a, b, c in zip(x, y, cells))
+    return [cell_rule(a, b, *divmod(c, n)) for a, b, c in zip(x, y, cells)]
 
 
 def _compile_expr(expr):
@@ -458,9 +456,10 @@ def _compile_expr(expr):
 
     def node(table):
         x, y = left(table), right(table)
-        _check_lengths(x, y)
+        if len(x) != len(y):
+            raise _mismatch(x, y)
         try:
-            column = tuple(map(plain, x, y))
+            column = list(map(plain, x, y))
         except TypeError:  # an INF operand
             return _walk(cell_rule, x, y, table)
         if signed and min(column) < 0:
@@ -477,7 +476,8 @@ def _decide(spec: IdentitySpec, table: _CellTable) -> IdentityVerdict:
         rhs = rhs_fn(table)
     except UndefinedProduct as e:
         raise UndefinedProduct(f"{spec.id}: {e}") from e
-    _check_lengths(lhs, rhs)
+    if len(lhs) != len(rhs):
+        raise _mismatch(lhs, rhs)
     if test(lhs, rhs):
         return holds
     k = next(compress(count(), map(bad, lhs, rhs)))

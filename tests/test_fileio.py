@@ -229,6 +229,19 @@ class TestMatrixCsv:
         with pytest.raises(ParseError):
             matrix_from_csv(text)
 
+    # Spellings that matrix_to_csv never writes; int() takes the first four
+    # and refuses the last, with a ValueError of its own.
+    @pytest.mark.parametrize(
+        "token",
+        ["+1", "1_0", "٣", "-1", "9" * 5000],
+        ids=["plus-sign", "underscore", "arabic-indic-three", "minus-sign", "past-int-digit-limit"],
+    )
+    def test_cell_the_writer_never_writes_rejected(self, token):
+        with pytest.raises(ParseError) as exc:
+            matrix_from_csv(f",a,b\na,0,0\nb,0,{token}\n", source="m.csv")
+        assert str(exc.value) == f"m.csv:3: bad cell value {token!r}"
+        assert exc.value.line == 3
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ParseError, match="duplicate node label 'a'"):
             matrix_from_csv(",a,a\na,0,0\na,0,0\n")

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import pickle
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -149,6 +150,11 @@ LATER_ROW_WITNESSES = Dataset(
     Graph(("a", "b", "c"), frozenset({(1, 2), (2, 0)})),
     (Trajectory((1, 2)), Trajectory((2, 0)), Trajectory((2, 0))),
 )
+# a -> b -> c with no trajectories: P is INF below the diagonal, so the
+# right side of E = P - A, which holds on every dataset, comes from the
+# cell rules there.
+CHAIN_WITHOUT_TRAJECTORIES = Dataset(Graph(("a", "b", "c"), frozenset({(0, 1), (1, 2)})), ())
+E_FROM_P = IdentitySpec("E_FROM_P", "UNIVERSAL", "eq", "E", _sub("P", "A"), "x")
 
 
 def _expr_symbols(expr):
@@ -277,10 +283,15 @@ def _outcome(evaluate, spec, s, u):
 
 class TestCompiledEvaluator:
     @settings(max_examples=300, deadline=None)
-    @given(seeds, st.sampled_from(("eq", "leq")), expressions, expressions)
-    def test_matches_materializing_oracle(self, seed, relation, lhs, rhs):
+    @given(
+        seeds.map(lambda seed: dataset_from_seed(seed, max_n=6)),
+        st.sampled_from(("eq", "leq")),
+        expressions,
+        expressions,
+    )
+    @example(CHAIN_WITHOUT_TRAJECTORIES, "eq", "E", _sub("P", "A"))
+    def test_matches_materializing_oracle(self, d, relation, lhs, rhs):
         # Small random graphs leave pairs unreachable, so P and E carry INF.
-        d = dataset_from_seed(seed, max_n=6)
         s = build_structure(d.graph)
         u = build_utilization(d, s)
         spec = IdentitySpec("EXT.H", IdentityClass.UNIVERSAL, relation, lhs, rhs, "")
@@ -442,6 +453,47 @@ class TestCompiledEvaluator:
             u = build_utilization(d, s)
             expected = tuple(evaluate_identity_materialized(spec, s, u) for spec in CATALOGUE)
             assert audit_dataset(d).verdicts == expected
+
+    def test_relation_decided_by_the_cell_rules_holds(self):
+        # The column the cell rules give must compare equal to E's column.
+        d = CHAIN_WITHOUT_TRAJECTORIES
+        s = build_structure(d.graph)
+        u = build_utilization(d, s)
+        holds = IdentityVerdict(E_FROM_P, True)
+        assert evaluate_identity(E_FROM_P, s, u) == holds
+        assert audit_dataset(d, specs=(E_FROM_P,)).verdicts == (holds,)
+
+    def test_one_node_graph_has_one_distinct_entry(self):
+        d = Dataset(Graph(("a",), frozenset()), ())
+        s = build_structure(d.graph)
+        table = identities._distinct_table(s, build_utilization(d, s))
+        assert table.cells == [0]
+        assert {len(column) for column in table.values()} == {1}
+
+    def test_distinct_table_has_one_entry_per_distinct_vector(
+        self, shortcut_structure, shortcut_utilization
+    ):
+        s, u = shortcut_structure, shortcut_utilization
+        chains = [chain.from_iterable(m.cells) for m in bundle_matrices(s, u).values()]
+        vectors = set(zip(*chains))
+        table = identities._distinct_table(s, u)
+        assert len(table.cells) == len(vectors)
+        assert {len(column) for column in table.values()} == {len(vectors)}
+        assert set(zip(*(table[k] for k in SYMBOLS[:-1]))) == vectors
+
+    def test_every_column_is_a_list(self, shortcut_structure, shortcut_utilization):
+        # A tuple column never equals a list column of the same entries.
+        # Lists also stay off CPython's tuple free lists, which keep up to
+        # 2000 freed tuples of each length from 1 to 20 for the life of the
+        # process.  E = P - A reaches the cell rules, where P is INF.
+        s, u = shortcut_structure, shortcut_utilization
+        for table in (identities._full_table(s, u), identities._distinct_table(s, u)):
+            for spec in (*CATALOGUE, E_FROM_P):
+                lhs, rhs = (side(table) for side in spec._compiled[:2])
+                assert (type(lhs), type(rhs)) == (list, list), spec.id
+                identities._decide(spec, table)
+            assert table.keys() == set(SYMBOLS)
+            assert all(type(column) is list for column in table.values())
 
     def test_evaluation_leaves_a_spec_unchanged_as_a_value(self, shortcut_dataset):
         # Each spec holds its compiled form once evaluated; two equal specs
