@@ -11,14 +11,15 @@ import sys
 import time
 
 from netmat import list_identities
+from netmat.cli import int_flag
 from netmat.identities import GATED, evaluate_on_dataset, search_counterexample
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("ids", nargs="*", help="identity ids (default: whole catalogue)")
-    parser.add_argument("--budget", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--budget", type=int_flag, default=1000)
+    parser.add_argument("--seed", type=int_flag, default=0)
     parser.add_argument("--no-duplicates", action="store_true", help="forbid duplicate trajectories")
     args = parser.parse_args()
     if args.seed < 0:

@@ -13,6 +13,7 @@ import time
 from collections import Counter
 
 from netmat import audit_dataset, gen_dataset, sweep_configs
+from netmat.cli import int_flag
 from netmat.generators import GenConfig
 from netmat.identities import GATED, IdentityClass
 
@@ -28,10 +29,10 @@ def replay_command(cfg: GenConfig) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--count", type=int, default=1000, help="datasets to audit")
-    parser.add_argument("--seed", type=int, default=0, help="base seed for the config stream")
-    parser.add_argument("--max-n", type=int, default=12, help="largest node count")
-    parser.add_argument("--max-traj", type=int, default=50, help="largest trajectory count")
+    parser.add_argument("--count", type=int_flag, default=1000, help="datasets to audit")
+    parser.add_argument("--seed", type=int_flag, default=0, help="base seed for the config stream")
+    parser.add_argument("--max-n", type=int_flag, default=12, help="largest node count")
+    parser.add_argument("--max-traj", type=int_flag, default=50, help="largest trajectory count")
     args = parser.parse_args()
     if args.seed < 0:
         # random.Random seeds -s and s alike, so a negative seed would

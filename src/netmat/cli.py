@@ -63,6 +63,21 @@ _GEN_TYPES = {
 }
 
 
+def int_flag(text: str) -> int:
+    """argparse type of every integer flag: an optional '-' and ASCII digits.
+
+    int() alone would also take "+5", "1_0" and non-ASCII digits, which
+    netmat never writes; a negative value reaches each flag's own check.
+    """
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts from a string
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
@@ -263,10 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random dataset")
     p.add_argument("--config", type=Path, default=None, help="GenConfig JSON file")
-    p.add_argument("--n", type=int, default=None, help="node count")
+    p.add_argument("--n", type=int_flag, default=None, help="node count")
     p.add_argument("--edge-prob", dest="edge_prob", type=float, default=None)
-    p.add_argument("--max-traj", dest="max_traj", type=int, default=None)
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
+    p.add_argument("--max-traj", dest="max_traj", type=int_flag, default=None)
+    p.add_argument("--max-len", dest="max_len", type=int_flag, default=None)
     p.add_argument(
         "--allow-duplicates",
         dest="allow_duplicates",
@@ -278,20 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cover every edge and reachable pair with trajectories",
     )
-    p.add_argument("--seed", type=int, default=None, help="random seed")
+    p.add_argument("--seed", type=int_flag, default=None, help="random seed")
     _add_common(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("hunt", help="search for a counterexample to one identity")
     p.add_argument("identity", help="catalogue id, e.g. X.EHAT_L_NEQ_L")
-    p.add_argument("--budget", type=int, default=1000, help="instances to try")
+    p.add_argument("--budget", type=int_flag, default=1000, help="instances to try")
     p.add_argument(
         "--allow-duplicates",
         dest="allow_duplicates",
         action=argparse.BooleanOptionalAction,
         default=True,
     )
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=int_flag, default=0, help="random seed")
     _add_common(p)
     p.set_defaults(func=_cmd_hunt)
 

@@ -18,13 +18,14 @@ spec names; an audit reads the distinct table, exactly one entry per
 distinct vector of the fifteen matrices' values at one cell, in order of
 first occurrence, with no padding.  A node maps the plain operator
 (``operator.mul``, ``add``, ``sub``) over its two columns; an INF operand
-(TypeError) or a negative difference sends it to the cell rules of
-``netmat.matrices``, which give the exact values or raise at the first
+(TypeError) or a negative difference sends it to ``netmat.matrices``'
+cell walk, whose cell rules give the exact values or raise at the first
 such entry.  Columns of different dimension raise DimensionMismatch, and
 an UndefinedProduct is re-raised prefixed with the spec id.  Both sides
 are computed in full before any cell is compared, so such an exception
 wins over an earlier witness.  A relation that fails its whole-column test
-is witnessed at its first failing entry.  A cell's values depend only on
+is witnessed at its first failing entry, found by the finder the
+``build_utilization`` cross-checks use.  A cell's values depend only on
 its vector, and entries come in order of first occurrence, so on either
 table the first entry that raises or fails is the first such cell in
 row-major order.
@@ -53,13 +54,13 @@ from collections import deque
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain, count
 from math import isqrt
 
 from .errors import DimensionMismatch, ParseError, UndefinedProduct, UnknownIdentity
 from .fileio import cell_to_json
 from .generators import GenConfig, gen_dataset
-from .matrices import CountMatrix, _add_cell, _mul_cell, _sub_cell
+from .matrices import CountMatrix, _add_cell, _first_failing, _mul_cell, _sub_cell, _walk
 from .structure import Graph, StructureBundle, build_structure
 from .utilization import Dataset, UtilizationBundle, build_utilization, is_fully_utilized
 
@@ -438,13 +439,6 @@ def _mismatch(x: list, y: list) -> DimensionMismatch:
     return DimensionMismatch(f"{a}x{a} vs {b}x{b}")
 
 
-def _walk(cell_rule, x: list, y: list, table: _CellTable) -> list:
-    # cell_rule(a, b, i, j) for every entry, in order, with (i, j) the
-    # entry's cell, so the first entry that raises names the cell.
-    n, cells = table.layout(len(x))
-    return [cell_rule(a, b, *divmod(c, n)) for a, b, c in zip(x, y, cells)]
-
-
 def _compile_expr(expr):
     # A compiled expression maps a table to the column of its values.
     if isinstance(expr, str):
@@ -461,9 +455,10 @@ def _compile_expr(expr):
         try:
             column = list(map(plain, x, y))
         except TypeError:  # an INF operand
-            return _walk(cell_rule, x, y, table)
+            return _walk(cell_rule, x, y, *table.layout(len(x)))
         if signed and min(column) < 0:
-            return _walk(cell_rule, x, y, table)  # raises at the first negative cell
+            # Raises at the first negative cell.
+            return _walk(cell_rule, x, y, *table.layout(len(x)))
         return column
 
     return node
@@ -480,7 +475,7 @@ def _decide(spec: IdentitySpec, table: _CellTable) -> IdentityVerdict:
         raise _mismatch(lhs, rhs)
     if test(lhs, rhs):
         return holds
-    k = next(compress(count(), map(bad, lhs, rhs)))
+    k = _first_failing(bad, lhs, rhs)
     n, cells = table.layout(len(lhs))
     return IdentityVerdict(spec, False, Witness(*divmod(cells[k], n), lhs[k], rhs[k]))
 

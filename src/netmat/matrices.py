@@ -12,7 +12,7 @@ CountMatrix constructor and the two matrix parsers of ``fileio`` run one
 per-cell loop, which names the first bad row or cell.  Matrices the
 package computes skip that loop through the private ``_trusted``
 constructor, because their cells are valid by construction: binarize and
-the row kernels map valid cells to valid cells (or raise), and the
+the cell rules map valid cells to valid cells (or raise), and the
 adjacency, distance, external and utilization builders emit only 0/1
 flags, hop counts, INF and counts, as tuples of tuples.
 
@@ -24,25 +24,23 @@ a hat is read, so a reader that never reads a hat never makes it.
 
 The cell rules ``_mul_cell``, ``_add_cell`` and ``_sub_cell`` are the only
 code that knows the elementwise rules for INF and negative differences.
-The identity evaluator (``netmat.identities``) maps the plain operators
-over flat cell columns and hands every INF operand and negative difference
-to them.  The row kernels ``_hadamard_rows``, ``_add_rows`` and
-``_sub_rows`` do the same over rows; they serve the wrappers and the
-utilization cross-checks, and ``_first_bad_cell`` is the cross-checks'
-walk for the first cell where two matrices differ.  Each kernel is one
-driver, ``_elementwise``, and one cell rule per operator.  The driver
-checks dimensions, then maps whole rows with the operator.  INF has no
-arithmetic, so an INF operand makes that map raise TypeError, and only
-then are the cells walked in row-major order with the cell rule, which
-decides the INF cells and raises at the first cell with no value.
+``_walk`` is the one cell walk: it applies a cell rule to two flat columns
+of cells in order, naming each entry by its row-major cell, so the first
+entry that raises names the first such cell.  ``_first_failing`` is the
+one finder of the first entry where two columns fail a test.  The identity
+evaluator (``netmat.identities``) maps the plain operators over flat cell
+columns and hands every INF operand and negative difference to ``_walk``;
+the ``build_utilization`` cross-checks name a mismatch with
+``_first_failing``, as the evaluator names a witness.  ``hadamard``,
+``ew_add`` and ``ew_sub`` walk every cell with their cell rule, so their
+results and exceptions are the cell rules' by construction.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import total_ordering
-from itertools import count, repeat
+from itertools import chain, compress, count, repeat
 
 from .errors import (
     DimensionMismatch,
@@ -162,41 +160,25 @@ class hat:
         return m
 
 
-def _check_dimensions(x, y) -> None:
-    if len(x) != len(y):
-        raise DimensionMismatch(f"{len(x)}x{len(x)} vs {len(y)}x{len(y)}")
+def _walk(cell_rule, x, y, n: int, cells) -> list:
+    # cell_rule(a, b, i, j) for every entry, in order, with (i, j) the
+    # entry's row-major cell of an n x n matrix, so the first entry that
+    # raises names the cell.
+    return [cell_rule(a, b, *divmod(c, n)) for a, b, c in zip(x, y, cells)]
 
 
-def _elementwise(op, cell_rule, x, y) -> tuple[tuple, ...]:
-    # op over every cell pair of x and y, whole rows mapped from C with no
-    # Python frame per row.  An INF operand makes op raise TypeError (see
-    # _Unreachable), and only then are the cells walked with cell_rule.
-    _check_dimensions(x, y)
-    try:
-        return tuple(map(tuple, map(map, repeat(op), x, y)))
-    except TypeError:
-        pass
-    return _walk(cell_rule, x, y)
+def _first_failing(bad, x, y) -> int:
+    # The index of the first entry where bad(a, b) holds; one must.
+    return next(compress(count(), map(bad, x, y)))
 
 
-def _walk(cell_rule, x, y) -> tuple[tuple, ...]:
-    # cell_rule(a, b, i, j) for every cell (i, j), in row-major order, so the
-    # first cell that raises is the first in that order.
-    row_pairs = enumerate(zip(x, y))
-    return tuple(tuple(map(cell_rule, xr, yr, repeat(i), count())) for i, (xr, yr) in row_pairs)
-
-
-def _first_bad_cell(x, y):
-    # (i, j, a, b) of the first cell in row-major order where a != b, else
-    # None; equal matrices take one comparison.
-    _check_dimensions(x, y)
-    if x == y:
-        return None
-    for i, (xr, yr) in enumerate(zip(x, y)):
-        for j, (a, b) in enumerate(zip(xr, yr)):
-            if a != b:
-                return i, j, a, b
-    return None
+def _cellwise(cell_rule, x: CountMatrix, y: CountMatrix) -> CountMatrix:
+    n = x.n
+    if n != y.n:
+        raise DimensionMismatch(f"{n}x{n} vs {y.n}x{y.n}")
+    flat = chain.from_iterable
+    column = _walk(cell_rule, flat(x.cells), flat(y.cells), n, range(n * n))
+    return CountMatrix._trusted(tuple(zip(*[iter(column)] * n)))
 
 
 def hadamard(x: CountMatrix, y: CountMatrix) -> CountMatrix:
@@ -206,7 +188,7 @@ def hadamard(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     meaningful value and raises UndefinedProduct.  The product of two 0/1
     matrices is 0/1.
     """
-    return CountMatrix._trusted(_hadamard_rows(x.cells, y.cells))
+    return _cellwise(_mul_cell, x, y)
 
 
 def _mul_cell(a, b, i, j):
@@ -217,23 +199,15 @@ def _mul_cell(a, b, i, j):
     return INF
 
 
-def _hadamard_rows(x, y) -> tuple[tuple, ...]:
-    return _elementwise(operator.mul, _mul_cell, x, y)
-
-
 def ew_add(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     """Elementwise sum; both operands must be finite everywhere."""
-    return CountMatrix._trusted(_add_rows(x.cells, y.cells))
+    return _cellwise(_add_cell, x, y)
 
 
 def _add_cell(a, b, i, j):
     if a is INF or b is INF:
         raise InfiniteOperand(f"INF operand at cell ({i}, {j})")
     return a + b
-
-
-def _add_rows(x, y) -> tuple[tuple[int, ...], ...]:
-    return _elementwise(operator.add, _add_cell, x, y)
 
 
 def ew_sub(x: CountMatrix, y: CountMatrix) -> CountMatrix:
@@ -244,7 +218,7 @@ def ew_sub(x: CountMatrix, y: CountMatrix) -> CountMatrix:
     with an INF y cell, raises NegativeResult; INF - INF raises
     InfiniteOperand.
     """
-    return CountMatrix._trusted(_sub_rows(x.cells, y.cells))
+    return _cellwise(_sub_cell, x, y)
 
 
 def _sub_cell(a, b, i, j):
@@ -256,10 +230,3 @@ def _sub_cell(a, b, i, j):
     if b > a:
         raise NegativeResult(f"{a!r} - {b!r} at cell ({i}, {j})")
     return a - b
-
-
-def _sub_rows(x, y) -> tuple[tuple, ...]:
-    rows = _elementwise(operator.sub, _sub_cell, x, y)
-    if min(map(min, rows)) < 0:
-        _walk(_sub_cell, x, y)  # raises at the first negative cell
-    return rows

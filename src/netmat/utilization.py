@@ -42,16 +42,18 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
+from operator import add, mul, ne
 
 from .errors import (
     CrossCheckFailure,
+    DimensionMismatch,
     MissingEdge,
     RepeatedNode,
     TooShort,
     TrajectoryError,
 )
-from .matrices import CountMatrix, _add_rows, _first_bad_cell, _hadamard_rows, hat
+from .matrices import CountMatrix, _first_failing, hat
 from .structure import Graph, StructureBundle
 
 
@@ -223,12 +225,17 @@ def _count_all(d: Dataset) -> tuple[CountMatrix, ...]:
     return _unpack(totals, n, w)
 
 
-def _cross_check(name: str, counted: CountMatrix, derived: tuple[tuple, ...]) -> None:
-    bad = _first_bad_cell(counted.cells, derived)
-    if bad is not None:
-        i, j, a, b = bad
+def _cross_check(name: str, counted: CountMatrix, op, x: CountMatrix, y: CountMatrix) -> None:
+    # op over the rows of x and y, which are finite: A and Ehat are 0/1 and
+    # the counts are ints.  Only a mismatch is flattened to name its cell.
+    derived = tuple(map(tuple, map(map, repeat(op), x.cells, y.cells)))
+    if counted.cells != derived:
+        a = list(chain.from_iterable(counted.cells))
+        b = list(chain.from_iterable(derived))
+        k = _first_failing(ne, a, b)
+        i, j = divmod(k, counted.n)
         raise CrossCheckFailure(
-            f"{name} violated at cell ({i}, {j}): counted {a!r}, derived {b!r}"
+            f"{name} violated at cell ({i}, {j}): counted {a[k]!r}, derived {b[k]!r}"
         )
 
 
@@ -237,14 +244,20 @@ def build_utilization(d: Dataset, s: StructureBundle) -> UtilizationBundle:
 
     The counted matrices are verified against their algebraic forms
     (T = A o L, Tc = Ehat o D, L = T + Tc, D = F + T + Tc); any disagreement
-    raises CrossCheckFailure naming the identity and the witness cell.
+    raises CrossCheckFailure naming the identity and the witness cell.  A
+    structure of another dimension than the dataset's graph raises
+    DimensionMismatch.
     """
+    n = d.graph.n
+    if s.A.n != n:
+        # The cross-checks' maps would stop at the smaller matrix.
+        raise DimensionMismatch(f"{s.A.n}x{s.A.n} vs {n}x{n}")
     counts = f, dd, l, t, tc = _count_all(d)
-    _cross_check("T = A o L", t, _hadamard_rows(s.A.cells, l.cells))
-    _cross_check("Tc = Ehat o D", tc, _hadamard_rows(s.Ehat.cells, dd.cells))
-    _cross_check("L = T + Tc", l, _add_rows(t.cells, tc.cells))
+    _cross_check("T = A o L", t, mul, s.A, l)
+    _cross_check("Tc = Ehat o D", tc, mul, s.Ehat, dd)
+    _cross_check("L = T + Tc", l, add, t, tc)
     # L has just matched T + Tc cell for cell, so F + L is F + T + Tc.
-    _cross_check("D = F + T + Tc", dd, _add_rows(f.cells, l.cells))
+    _cross_check("D = F + T + Tc", dd, add, f, l)
     return UtilizationBundle(*counts)
 
 

@@ -460,6 +460,29 @@ class TestDroppedFlags:
         assert not out.exists()
 
 
+# Integer flags take only an optional '-' and ASCII digits; int() alone
+# would read these as 10, 5 and 3.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "1_0"],
+        ["gen", "--seed", "٣"],
+        ["hunt", "T1.F_MASKED", "--budget", "+5"],
+    ],
+    ids=["n-1_0", "seed-arabic-indic", "budget-plus"],
+)
+def test_int_flag_spelled_as_netmat_never_writes_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    flag, value = argv[-2:]
+    err = capsys.readouterr().err
+    assert err.endswith(f": error: argument {flag}: invalid int value: {value!r}\n")
+    assert err.count("error:") == 1
+    assert not out.exists()
+
+
 def _operands(fixture_files, command):
     # Arguments that make a valid run of command on the fixture files.
     graph, traj = fixture_files

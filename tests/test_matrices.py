@@ -144,7 +144,8 @@ class TestInfOrdering:
         ],
     )
     def test_inf_has_no_arithmetic(self, op, a, b):
-        # The row kernels leave their whole-row path on this TypeError.
+        # The identity evaluator leaves the plain operators for the cell
+        # walk on this TypeError.
         with pytest.raises(TypeError):
             op(a, b)
 
@@ -342,12 +343,12 @@ def _outcome(op, *args):
     return type(m), m.cells
 
 
-# INF only in the last row, so the whole-row path fails late.
+# INF only in the last row, after a finite row.
 _INF_LAST_ROW = (CountMatrix(((3, 2), (1, INF))), CountMatrix(((1, 2), (1, 3))))
 # INF * 0 in the last row after finite rows; x - y is negative in row 0.
 _INF_TIMES_0_LAST_ROW = (CountMatrix(((1, 2), (INF, 1))), CountMatrix(((2, 3), (0, 1))))
-# INF sends x - y through the per-cell walk, which meets the negative 1 - 2
-# at (0, 1) before an INF - INF in a later row, or later in the same row.
+# The walk meets the negative 1 - 2 at (0, 1) before an INF - INF in a
+# later row, or later in the same row.
 _NEGATIVE_BEFORE_INF_MINUS_INF = (
     CountMatrix(((INF, 1), (INF, 0))),
     CountMatrix(((0, 2), (INF, 0))),
@@ -361,7 +362,8 @@ _FINITE_MINUS_INF = (CountMatrix(((INF, 2), (0, 0))), CountMatrix(((1, INF), (0,
 
 
 class TestMatchesPerCellReference:
-    """Whole-row paths give the per-cell result, or its exception and message."""
+    """The wrappers over the one cell walk give the per-cell reference's
+    result, or its exception and message."""
 
     @example(_INF_LAST_ROW)
     @example(_INF_TIMES_0_LAST_ROW)

@@ -76,7 +76,8 @@ def test_hunt_exits_0_when_only_known_false_ids_fall(monkeypatch, capsys):
 
 # random.Random(-1) draws what random.Random(1) draws, so a negative seed is
 # refused like the flags that would end in a traceback or a wrong report,
-# and like an id the catalogue does not hold.
+# like an id the catalogue does not hold and like an integer spelled in a
+# way netmat never writes.
 @pytest.mark.parametrize(
     "script, argv, message",
     [
@@ -103,6 +104,19 @@ def test_hunt_exits_0_when_only_known_false_ids_fall(monkeypatch, capsys):
             id="max-traj",
         ),
         pytest.param(hunt, ["T1.F_MASKED", "NOPE"], "unknown ids: NOPE", id="unknown-id"),
+        # Integer flags take only an optional '-' and ASCII digits.
+        pytest.param(
+            sweep, ["--count", "1_0"], "argument --count: invalid int value: '1_0'", id="count-1_0"
+        ),
+        pytest.param(
+            hunt,
+            ["T1.F_MASKED", "--budget", "+5"],
+            "argument --budget: invalid int value: '+5'",
+            id="budget-plus",
+        ),
+        pytest.param(
+            sweep, ["--seed", "٣"], "argument --seed: invalid int value: '٣'", id="seed-arabic-indic"
+        ),
     ],
 )
 def test_negative_seed_exits_2(monkeypatch, capsys, script, argv, message):

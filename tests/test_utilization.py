@@ -342,28 +342,47 @@ class TestBundle:
             build_utilization(d, wrong)
         assert "cell" in str(exc.value)
 
+    # The structure's dimension comes first, in either order of sizes.
+    @pytest.mark.parametrize(
+        "graph, structure_graph, message",
+        [
+            ("chain3_graph", "shortcut_graph", "4x4 vs 3x3"),
+            ("shortcut_graph", "chain3_graph", "3x3 vs 4x4"),
+        ],
+    )
     def test_structure_of_other_dimension_is_a_dimension_mismatch(
-        self, chain3_graph, shortcut_structure
+        self, request, graph, structure_graph, message
     ):
-        d = Dataset(chain3_graph, (Trajectory((0, 1, 2)),))
-        with pytest.raises(DimensionMismatch, match=r"^4x4 vs 3x3$"):
-            build_utilization(d, shortcut_structure)
+        g = request.getfixturevalue(graph)
+        d = Dataset(g, (Trajectory(tuple(range(g.n))),))
+        s = build_structure(request.getfixturevalue(structure_graph))
+        with pytest.raises(DimensionMismatch) as exc:
+            build_utilization(d, s)
+        assert str(exc.value) == message
 
     # A cell of one counted matrix raised by one, and the cross-check that
     # must name it, on the shortcut dataset: T(B, D) and Tc(A, C) are 1,
     # A(A, C) = 0 and Ehat(A, B) = 0, so only the named check sees the change.
+    # Raising F raises the derived side of its check; raising any other
+    # count raises the counted side.
     @pytest.mark.parametrize(
-        "index, cell, name",
+        "index, cell, name, values",
         [
-            (0, (0, 1), "D = F + T + Tc"),  # F
-            (1, (0, 1), "D = F + T + Tc"),  # D
-            (2, (0, 2), "L = T + Tc"),  # L
-            (3, (1, 3), "T = A o L"),  # T
-            (4, (0, 2), "Tc = Ehat o D"),  # Tc
+            pytest.param(
+                0, (0, 1), "D = F + T + Tc", "counted 1, derived 2", id="0-cell0-D = F + T + Tc"
+            ),
+            pytest.param(
+                1, (0, 1), "D = F + T + Tc", "counted 2, derived 1", id="1-cell1-D = F + T + Tc"
+            ),
+            pytest.param(2, (0, 2), "L = T + Tc", "counted 2, derived 1", id="2-cell2-L = T + Tc"),
+            pytest.param(3, (1, 3), "T = A o L", "counted 2, derived 1", id="3-cell3-T = A o L"),
+            pytest.param(
+                4, (0, 2), "Tc = Ehat o D", "counted 2, derived 1", id="4-cell4-Tc = Ehat o D"
+            ),
         ],
     )
     def test_corrupted_count_names_its_cross_check(
-        self, monkeypatch, shortcut_dataset, shortcut_structure, index, cell, name
+        self, monkeypatch, shortcut_dataset, shortcut_structure, index, cell, name, values
     ):
         count_all = utilization._count_all
 
@@ -378,7 +397,7 @@ class TestBundle:
         monkeypatch.setattr(utilization, "_count_all", corrupted)
         with pytest.raises(CrossCheckFailure) as exc:
             build_utilization(shortcut_dataset, shortcut_structure)
-        assert str(exc.value).startswith(f"{name} violated at cell {cell}: ")
+        assert str(exc.value) == f"{name} violated at cell {cell}: {values}"
 
     @settings(max_examples=60, deadline=None)
     @given(configs, st.sampled_from([1, 300]))
