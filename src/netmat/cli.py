@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -76,6 +77,22 @@ def int_flag(text: str) -> int:
         except ValueError:  # more digits than int() converts from a string
             pass
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+# The shape repr(float) gives a finite float: an optional '-', ASCII digits,
+# then an optional fraction and an optional exponent, as in 0.4 or 1e-05.
+_FLOAT_SPELLING = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?", re.ASCII)
+
+
+def float_flag(text: str) -> float:
+    """argparse type of --edge-prob: a decimal as repr(float) spells it.
+
+    float() alone would also take " 0.5", "0_0.5", "inf" and non-ASCII
+    digits; a value outside [0, 1] reaches GenConfig's own check.
+    """
+    if _FLOAT_SPELLING.fullmatch(text):
+        return float(text)
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
 
 
 def _json_text(obj) -> str:
@@ -279,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a random dataset")
     p.add_argument("--config", type=Path, default=None, help="GenConfig JSON file")
     p.add_argument("--n", type=int_flag, default=None, help="node count")
-    p.add_argument("--edge-prob", dest="edge_prob", type=float, default=None)
+    p.add_argument("--edge-prob", dest="edge_prob", type=float_flag, default=None)
     p.add_argument("--max-traj", dest="max_traj", type=int_flag, default=None)
     p.add_argument("--max-len", dest="max_len", type=int_flag, default=None)
     p.add_argument(

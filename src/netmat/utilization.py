@@ -10,22 +10,29 @@ node pair (i, j) with i strictly before j:
     T   the L pairs where the graph does offer a direct edge (unused here)
     Tc  the L pairs where no direct edge exists at all
 
-The five count matrices are counted in one backward walk per trajectory
-over packed rows: each matrix row is one Python int holding an 8-bit field
-per column, and each trajectory position adds whole bitmasks of the nodes
-after it.  A trajectory never repeats a node, so it adds at most 1 to any
-cell, and only to the rows of the nodes it walks out of.  A row walked at
-most 255 times therefore holds no field above 255, and no field carries
-into its neighbour.  The counts are unpacked at w bits, the smallest of 8,
-16, 32 and 64 that holds the number of trajectories, which no cell
-exceeds.  When w is 8, no row can be walked 256 times.  Otherwise the walk
-keeps a count per row: each time a row has been walked 255 times, its five
-8-bit rows are added into w-bit per-row totals and cleared, and what is
-left of every row is added once at the end.  So a row is widened during
-the walk only as often as its own traffic needs, never the whole matrix at
-once.  Construction then cross-checks the unpacked matrices against their
-algebraic reconstructions, computed as row tuples, and refuses to return a
-bundle that violates one.
+F, D and L are counted in one backward walk per trajectory over packed
+rows: each matrix row is one Python int holding an 8-bit field per column,
+and each trajectory position adds whole bitmasks of the nodes after it.  A
+trajectory never repeats a node, so it adds at most 1 to any cell, and only
+to the rows of the nodes it walks out of.  A row walked at most 255 times
+therefore holds no field above 255, and no field carries into its
+neighbour.  The counts are unpacked at w bits, the smallest of 8, 16, 32
+and 64 that holds the number of trajectories, which no cell exceeds.  When
+w is 8, no row can be walked 256 times.  Otherwise the walk keeps a count
+per row: each time a row has been walked 255 times, its three 8-bit rows
+are added into w-bit per-row totals and cleared, and what is left of every
+row is added once at the end.  So a row is widened during the walk only as
+often as its own traffic needs, never the whole matrix at once.
+
+T and Tc are not walked.  A and Ehat never share a nonzero cell, so L
+splits into T = A o L and Tc = Ehat o L (the paper's A o Ehat = 0 split).
+Once the walk is done, each row of L is masked with the w-bit fields of
+its row's edges: the masked row is T's and the rest is Tc's.  Fields hold
+whole counts and never carry, so masking each row once after the walk
+gives the same counts as masking every step's addend.  Construction then
+cross-checks all five unpacked matrices against their algebraic
+reconstructions, computed as row tuples from A, Ehat and the counts, and
+refuses to return a bundle that violates one.
 
 Unpacking joins the packed rows of all five matrices into one bytes
 buffer, reads it as one flat run of 5*n*n cells of w bits and cuts that run
@@ -43,7 +50,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from operator import add, mul, ne
+from operator import add, and_, mul, ne, xor
 
 from .errors import (
     CrossCheckFailure,
@@ -171,22 +178,19 @@ def _unpack(counts: list[list[int]], n: int, w: int) -> tuple[CountMatrix, ...]:
 
 
 def _count_all(d: Dataset) -> tuple[CountMatrix, ...]:
-    # F, D, L, T and Tc.  Column j of a packed row is the 8-bit field at bit
-    # 8*j (module docstring).  The direct / indirect split uses the dataset's
-    # own edge set.
+    # F, D and L are walked; T and Tc are L's rows split by the w-bit mask
+    # of each row's edges.  Column j of a packed row is the field at bit
+    # w*j, 8 during the walk (module docstring).
     n = d.graph.n
     w = 8
     while len(d.trajectories) >> w:
         w *= 2
     bit = [1 << (8 * j) for j in range(n)]
-    adj = [0] * n
-    for i, j in d.graph.edges:
-        adj[i] |= bit[j]
-    rows = f, dd, l, t, tc = [[0] * n for _ in range(5)]
+    rows = f, dd, l = [[0] * n for _ in range(3)]
     wide = w > 8
     if wide:
         k = w // 8
-        totals = [[0] * n for _ in range(5)]
+        totals = [[0] * n for _ in range(3)]
         walks = [0] * n
         # Byte j of an 8-bit row lands on byte k*j, the low byte of field j
         # of a w-bit row; the other bytes stay 0.
@@ -208,9 +212,6 @@ def _count_all(d: Dataset) -> tuple[CountMatrix, ...]:
         for i in reversed(nodes[:-1]):
             f[i] += nb
             l[i] += after
-            ta = after & adj[i]
-            t[i] += ta
-            tc[i] += after ^ ta
             after |= nb
             dd[i] += after
             nb = bit[i]
@@ -218,11 +219,15 @@ def _count_all(d: Dataset) -> tuple[CountMatrix, ...]:
                 walks[i] += 1
                 if walks[i] == 255:
                     widen(i)
-    if not wide:
-        return _unpack(rows, n, 8)
-    for i in range(n):
-        widen(i)
-    return _unpack(totals, n, w)
+    if wide:
+        for i in range(n):
+            widen(i)
+        f, dd, l = totals
+    adj = [0] * n
+    for i, j in d.graph.edges:
+        adj[i] |= ((1 << w) - 1) << (w * j)
+    t = list(map(and_, l, adj))
+    return _unpack((f, dd, l, t, list(map(xor, l, t))), n, w)
 
 
 def _cross_check(name: str, counted: CountMatrix, op, x: CountMatrix, y: CountMatrix) -> None:

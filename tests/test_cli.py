@@ -483,6 +483,28 @@ def test_int_flag_spelled_as_netmat_never_writes_exits_2(tmp_path, capsys, argv)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "value", ["٠.٥", "0_0.5", " 0.5", "0.5 ", "+0.5", ".5", "inf", "nan", "0x1p-1"]
+)
+def test_edge_prob_spelled_as_netmat_never_writes_exits_2(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--n", "4", "--edge-prob", value, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f": error: argument --edge-prob: invalid float value: {value!r}\n")
+    assert err.count("error:") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0.4", "1e-05", "1", "0", "0.30000000000000004"])
+def test_edge_prob_spelled_as_repr_parses(tmp_path, value):
+    out = tmp_path / "out"
+    assert main(["gen", "--n", "4", "--edge-prob", value, "--out", str(out), "--quiet"]) == 0
+    written = json.loads((out / "gen_config.json").read_text(encoding="utf-8"))
+    assert written["edge_prob"] == float(value)
+
+
 def _operands(fixture_files, command):
     # Arguments that make a valid run of command on the fixture files.
     graph, traj = fixture_files

@@ -507,6 +507,28 @@ class TestFieldWidth:
         assert u.F == u.D == _matrix(4, {(1, 2): copies})
         assert u.L == u.T == u.Tc == _matrix(4, {})
 
+    # B->C->D->E with shortcut B->D, between two unwalked nodes A and F.
+    shortcut6 = Graph(
+        ("A", "B", "C", "D", "E", "F"),
+        frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3)}),
+    )
+
+    @pytest.mark.parametrize("copies", [255, 256, 65535, 65536])
+    def test_shortcut_path_splits_indirect_flow(self, copies):
+        # T holds the shortcut pair (B, D) and Tc the pairs (B, E) and
+        # (C, E), which no edge joins, each at the full count.
+        g = self.shortcut6
+        d = Dataset(g, (Trajectory((1, 2, 3, 4)),) * copies)
+        s = build_structure(g)
+        u = build_utilization(d, s)
+        assert_bundle_cells(s, u)
+        assert u.F == flow_matrix(d)
+        assert u.D == od_matrix(d)
+        assert u.L == indirect_flow_matrix(d)
+        assert u.T == alternative_route_matrix(d, s) == _matrix(6, {(1, 3): copies})
+        assert u.Tc == substitute_route_matrix(d, s)
+        assert u.Tc == _matrix(6, {(1, 4): copies, (2, 4): copies})
+
 
 class TestWidening:
     """Counts run in 8-bit fields; past 255 trajectories a row is widened
