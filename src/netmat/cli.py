@@ -16,7 +16,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -43,24 +43,15 @@ from .identities import (
 from .structure import build_structure
 from .utilization import build_utilization, is_fully_utilized
 
-_GEN_FIELDS = tuple(f.name for f in fields(GenConfig))
-_GEN_DEFAULTS = {
-    "n": 6,
-    "edge_prob": 0.3,
-    "max_traj": 10,
-    "max_len": None,
-    "allow_duplicates": False,
-    "seed": 0,
-}
-# JSON value types a config file may give each field, with their names for
-# the error message.  bool is not a count; a null max_len means n.
-_GEN_TYPES = {
-    "n": ((int,), "an integer"),
-    "edge_prob": ((int, float), "a number"),
-    "max_traj": ((int,), "an integer"),
-    "max_len": ((int, type(None)), "an integer or null"),
-    "allow_duplicates": ((bool,), "true or false"),
-    "seed": ((int,), "an integer"),
+# Per GenConfig field, in order: its default, the JSON value types a config
+# may give it (bool is no count) and their name in errors; null max_len is n.
+_GEN_FIELDS = {
+    "n": (6, (int,), "an integer"),
+    "edge_prob": (0.3, (int, float), "a number"),
+    "max_traj": (10, (int,), "an integer"),
+    "max_len": (None, (int, type(None)), "an integer or null"),
+    "allow_duplicates": (False, (bool,), "true or false"),
+    "seed": (0, (int,), "an integer"),
 }
 
 
@@ -166,7 +157,7 @@ def _cmd_audit(args) -> int:
 
 
 def _merge_gen_config(args) -> GenConfig:
-    merged = dict(_GEN_DEFAULTS)
+    merged = {field: default for field, (default, _, _) in _GEN_FIELDS.items()}
     if args.config is not None:
         try:
             loaded = json.loads(read_text(args.config))
@@ -174,14 +165,14 @@ def _merge_gen_config(args) -> GenConfig:
             raise ParseError(f"invalid JSON: {e}", source=str(args.config)) from e
         if not isinstance(loaded, dict):
             raise ParseError("config must be a JSON object", source=str(args.config))
-        unknown = set(loaded) - set(_GEN_FIELDS)
+        unknown = loaded.keys() - _GEN_FIELDS
         if unknown:
             raise ParseError(
                 f"unknown config fields: {', '.join(sorted(unknown))}",
                 source=str(args.config),
             )
         for field, value in loaded.items():
-            types, expected = _GEN_TYPES[field]
+            _, types, expected = _GEN_FIELDS[field]
             if type(value) not in types:
                 raise ParseError(
                     f"config field {field} must be {expected}, got {json.dumps(value)}",

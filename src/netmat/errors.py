@@ -6,7 +6,11 @@ class NetmatError(Exception):
 
 
 class DimensionMismatch(NetmatError):
-    """Two matrices were combined but their dimensions differ."""
+    """Matrices of sizes a and b were combined; args stay (a, b) so it pickles."""
+
+    def __str__(self):
+        a, b = self.args
+        return f"{a}x{a} vs {b}x{b}"
 
 
 class UndefinedProduct(NetmatError):

@@ -48,6 +48,13 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_labels(labels, source: str, line_no: int | None = None) -> None:
+    try:
+        check_labels(labels)
+    except ValueError as e:
+        raise ParseError(str(e), source, line_no) from e
+
+
 def graph_from_text(text: str, source: str = "<graph>") -> Graph:
     labels: list[str] = []
     index: dict[str, int] = {}
@@ -98,10 +105,7 @@ def graph_from_text(text: str, source: str = "<graph>") -> Graph:
     # The loop above rejected self-loops and duplicate edges, and its indices
     # are in range by construction; only the label rules remain.
     labels = tuple(labels)
-    try:
-        check_labels(labels)
-    except ValueError as e:
-        raise ParseError(str(e), source) from e
+    _check_labels(labels, source)
     return Graph._trusted(labels, frozenset(edges))
 
 
@@ -224,13 +228,6 @@ def _parse_cell(token: str, source: str, line_no: int):
     raise ParseError(f"bad cell value {token!r}", source, line_no)
 
 
-def _check_matrix_labels(labels, source: str, line_no: int | None = None) -> None:
-    try:
-        check_labels(labels)
-    except ValueError as e:
-        raise ParseError(str(e), source, line_no) from e
-
-
 def matrix_from_csv(
     text: str, source: str = "<matrix>"
 ) -> tuple[CountMatrix, tuple[str, ...]]:
@@ -248,7 +245,7 @@ def matrix_from_csv(
     n = len(labels)
     if n == 0:
         raise ParseError("matrix header declares no labels", source, 1)
-    _check_matrix_labels(labels, source, 1)
+    _check_labels(labels, source, 1)
     if len(rows) - 1 != n:
         raise ParseError(f"expected {n} data rows, found {len(rows) - 1}", source)
     cells = []
@@ -300,7 +297,7 @@ def matrix_from_json_obj(
     if not isinstance(labels, (list, tuple)):
         raise ParseError(f"matrix JSON labels must be a list, got {labels!r}", source)
     labels = tuple(labels)
-    _check_matrix_labels(labels, source)
+    _check_labels(labels, source)
     if not isinstance(raw, (list, tuple)):
         raise ParseError("matrix JSON cells must be a list of rows", source)
     if len(labels) != n or len(raw) != n:

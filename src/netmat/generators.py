@@ -14,11 +14,11 @@ goes through.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .structure import Graph
+from .matrices import INF
+from .structure import Graph, build_adjacency, distance_matrix
 from .utilization import Dataset, Trajectory
 
 _MASK64 = (1 << 64) - 1
@@ -53,6 +53,9 @@ class GenConfig:
             raise ValueError(
                 f"max_len must be between 0 and n={self.n}, got {self.max_len}"
             )
+        # _mix reduces a seed mod 2**64: one outside would alias one inside.
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must be between 0 and 2**64 - 1, got {self.seed}")
 
 
 def gen_digraph(cfg: GenConfig) -> Graph:
@@ -122,26 +125,17 @@ def gen_dataset(cfg: GenConfig) -> Dataset:
 
 
 def _shortest_path_cover(g: Graph) -> list[Trajectory]:
-    # One shortest path per ordered pair at hop distance >= 2, via BFS with
-    # sorted adjacency so the cover is deterministic.
+    # The pair cover of gen_fully_utilized, by source, then destination.
+    p = distance_matrix(build_adjacency(g)).cells
     succ = g.successors()
-    cover: list[Trajectory] = []
+    cover = []
     for src in range(g.n):
-        parent: dict[int, int | None] = {src: None}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in succ.get(u, ()):
-                if w not in parent:
-                    parent[w] = u
-                    queue.append(w)
-        for dst in sorted(parent):
-            if dst == src or (src, dst) in g.edges:
+        for dst, hops in enumerate(p[src]):
+            if hops is INF or hops < 2:
                 continue
-            path = [dst]
-            while path[-1] != src:
-                path.append(parent[path[-1]])
-            path.reverse()
+            path = [src]
+            for h in reversed(range(hops)):
+                path.append(next(v for v in succ[path[-1]] if p[v][dst] == h))
             cover.append(Trajectory._trusted(tuple(path)))
     return cover
 
@@ -151,6 +145,8 @@ def gen_fully_utilized(cfg: GenConfig) -> Dataset:
 
     Each edge gets its own two-node trajectory, each pair at hop distance
     >= 2 gets one shortest-path trajectory, then random extras are appended.
+    A pair's path is its lexicographically smallest shortest one: each step
+    takes the lowest successor one hop nearer in the distance matrix.
     The edge cover makes the flow binarization equal the adjacency matrix;
     the pair cover makes the OD binarization equal the reachability matrix.
     """

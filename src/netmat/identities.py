@@ -16,19 +16,20 @@ row-major cell.  ``evaluate_identity`` reads the full table, one entry per
 cell, whose columns are made on first read, so it makes only the hats its
 spec names; an audit reads the distinct table, exactly one entry per
 distinct vector of the fifteen matrices' values at one cell, in order of
-first occurrence, with no padding.  A node maps the plain operator
-(``operator.mul``, ``add``, ``sub``) over its two columns; an INF operand
-(TypeError) or a negative difference sends it to ``netmat.matrices``'
-cell walk, whose cell rules give the exact values or raise at the first
-such entry.  Columns of different dimension raise DimensionMismatch, and
-an UndefinedProduct is re-raised prefixed with the spec id.  Both sides
-are computed in full before any cell is compared, so such an exception
-wins over an earlier witness.  A relation that fails its whole-column test
-is witnessed at its first failing entry, found by the finder the
-``build_utilization`` cross-checks use.  A cell's values depend only on
-its vector, and entries come in order of first occurrence, so on either
-table the first entry that raises or fails is the first such cell in
-row-major order.
+first occurrence, with no padding.  Every column has its table's length:
+before the full table is made, every count matrix of both bundles is
+checked to have A's dimension (DimensionMismatch, A's size first).  A
+node maps the plain operator (``operator.mul``, ``add``, ``sub``) over its
+two columns; an INF operand (TypeError) or a negative difference sends it
+to ``netmat.matrices``' cell walk, whose cell rules give the exact values
+or raise at the first such entry.  An UndefinedProduct is re-raised
+prefixed with the spec id.  Both sides are computed in full before any
+cell is compared, so such an exception wins over an earlier witness.  A
+relation that fails its whole-column test is witnessed at its first
+failing entry, found by the finder the ``build_utilization`` cross-checks
+use.  A cell's values depend only on its vector, and entries come in order
+of first occurrence, so on either table the first entry that raises or
+fails is the first such cell in row-major order.
 
 A verdict is its spec plus the outcome: its id is the spec's id, so reports
 read catalogue specs and specs from elsewhere alike.  A relation that holds
@@ -55,7 +56,6 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import chain, count
-from math import isqrt
 
 from .errors import DimensionMismatch, ParseError, UndefinedProduct, UnknownIdentity
 from .fileio import cell_to_json
@@ -402,17 +402,13 @@ class _CellTable(dict):
         self[symbol] = column
         return column
 
-    def layout(self, size: int) -> tuple[int, range | list[int]]:
-        # n and cells for a column of size entries: on bundles of different
-        # dimension a full table also holds the other bundle's columns.
-        if size == len(self.cells):
-            return self.n, self.cells
-        return isqrt(size), range(size)
-
 
 def _full_table(s: StructureBundle, u: UtilizationBundle) -> _CellTable:
-    # One entry per cell, in row-major order.
-    n = s.A.n
+    # One entry per cell, in row-major order; a hat has its count's size.
+    n = len(s.A.cells)
+    for m in (s.P, s.E, u.F, u.D, u.L, u.T, u.Tc):
+        if len(m.cells) != n:
+            raise DimensionMismatch(n, len(m.cells))
     return _CellTable(n, range(n * n), (s, u))
 
 
@@ -433,12 +429,6 @@ def _distinct_table(s: StructureBundle, u: UtilizationBundle) -> _CellTable:
     return table
 
 
-def _mismatch(x: list, y: list) -> DimensionMismatch:
-    # Only full-table columns differ in length, so each is n * n long.
-    a, b = isqrt(len(x)), isqrt(len(y))
-    return DimensionMismatch(f"{a}x{a} vs {b}x{b}")
-
-
 def _compile_expr(expr):
     # A compiled expression maps a table to the column of its values.
     if isinstance(expr, str):
@@ -450,15 +440,13 @@ def _compile_expr(expr):
 
     def node(table):
         x, y = left(table), right(table)
-        if len(x) != len(y):
-            raise _mismatch(x, y)
         try:
             column = list(map(plain, x, y))
         except TypeError:  # an INF operand
-            return _walk(cell_rule, x, y, *table.layout(len(x)))
+            return _walk(cell_rule, x, y, table.n, table.cells)
         if signed and min(column) < 0:
             # Raises at the first negative cell.
-            return _walk(cell_rule, x, y, *table.layout(len(x)))
+            return _walk(cell_rule, x, y, table.n, table.cells)
         return column
 
     return node
@@ -471,13 +459,10 @@ def _decide(spec: IdentitySpec, table: _CellTable) -> IdentityVerdict:
         rhs = rhs_fn(table)
     except UndefinedProduct as e:
         raise UndefinedProduct(f"{spec.id}: {e}") from e
-    if len(lhs) != len(rhs):
-        raise _mismatch(lhs, rhs)
     if test(lhs, rhs):
         return holds
     k = _first_failing(bad, lhs, rhs)
-    n, cells = table.layout(len(lhs))
-    return IdentityVerdict(spec, False, Witness(*divmod(cells[k], n), lhs[k], rhs[k]))
+    return IdentityVerdict(spec, False, Witness(*divmod(table.cells[k], table.n), lhs[k], rhs[k]))
 
 
 def evaluate_identity(
@@ -485,9 +470,10 @@ def evaluate_identity(
 ) -> IdentityVerdict:
     """Evaluate both sides of one relation; report the first bad cell if any.
 
-    Both sides are computed in full before any cell is compared, so an
-    exception anywhere in either side wins over a witness in an earlier
-    cell.
+    Bundles of different dimension raise DimensionMismatch, whatever
+    symbols the relation reads.  Both sides are computed in full before
+    any cell is compared, so an exception anywhere in either side wins
+    over a witness in an earlier cell.
     """
     return _decide(spec, _full_table(s, u))
 

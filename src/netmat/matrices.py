@@ -175,7 +175,7 @@ def _first_failing(bad, x, y) -> int:
 def _cellwise(cell_rule, x: CountMatrix, y: CountMatrix) -> CountMatrix:
     n = x.n
     if n != y.n:
-        raise DimensionMismatch(f"{n}x{n} vs {y.n}x{y.n}")
+        raise DimensionMismatch(n, y.n)
     flat = chain.from_iterable
     column = _walk(cell_rule, flat(x.cells), flat(y.cells), n, range(n * n))
     return CountMatrix._trusted(tuple(zip(*[iter(column)] * n)))

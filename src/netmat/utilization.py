@@ -256,7 +256,7 @@ def build_utilization(d: Dataset, s: StructureBundle) -> UtilizationBundle:
     n = d.graph.n
     if s.A.n != n:
         # The cross-checks' maps would stop at the smaller matrix.
-        raise DimensionMismatch(f"{s.A.n}x{s.A.n} vs {n}x{n}")
+        raise DimensionMismatch(s.A.n, n)
     counts = f, dd, l, t, tc = _count_all(d)
     _cross_check("T = A o L", t, mul, s.A, l)
     _cross_check("Tc = Ehat o D", tc, mul, s.Ehat, dd)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from collections import deque
 
 from netmat import (
     INF,
@@ -55,6 +56,31 @@ def floyd_warshall_distance_matrix(a: CountMatrix) -> CountMatrix:
     return CountMatrix(
         tuple(tuple(INF if v is None else v for v in row) for row in dist)
     )
+
+
+def bfs_shortest_path_cover(g: Graph) -> list[tuple[int, ...]]:
+    """One shortest path per ordered pair at hop distance >= 2, as node
+    tuples: a FIFO breadth-first search from each source over sorted
+    successors, read back along the search tree's parent links."""
+    succ = g.successors()
+    cover = []
+    for src in range(g.n):
+        parent: dict[int, int | None] = {src: None}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for w in succ.get(u, ()):
+                if w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+        for dst in sorted(parent):
+            if dst == src or (src, dst) in g.edges:
+                continue
+            path = [dst]
+            while path[-1] != src:
+                path.append(parent[path[-1]])
+            cover.append(tuple(reversed(path)))
+    return cover
 
 
 # Per-cell references for the elementwise operations: each visits cells in
@@ -117,7 +143,7 @@ def ew_sub_cells(x: CountMatrix, y: CountMatrix) -> CountMatrix:
 
 def _same_dimension(x: CountMatrix, y: CountMatrix) -> None:
     if x.n != y.n:
-        raise DimensionMismatch(f"{x.n}x{x.n} vs {y.n}x{y.n}")
+        raise DimensionMismatch(x.n, y.n)
 
 
 def ew_leq(x: CountMatrix, y: CountMatrix) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from netmat import INF, Dataset, audit_dataset, gen_dataset
-from netmat import utilization
+from netmat import cli, utilization
 from netmat.cli import main
 from netmat.fileio import load_graph, load_trajectories, matrix_from_csv
 from netmat.generators import GenConfig
@@ -277,6 +278,36 @@ class TestGen:
     def test_invalid_n_exits_2(self, tmp_path, capsys):
         assert main(["gen", "--n", "0", "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_config_table_names_every_gen_config_field_in_order(self):
+        assert list(cli._GEN_FIELDS) == [f.name for f in dataclasses.fields(GenConfig)]
+
+    @staticmethod
+    def _gen_with_seed(tmp_path, source, seed):
+        out = tmp_path / "o"
+        if source == "flag":
+            return main(["gen", "--n", "4", "--seed", str(seed), "--out", str(out), "--quiet"]), out
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 4, "seed": seed}))
+        return main(["gen", "--config", str(cfg_path), "--out", str(out), "--quiet"]), out
+
+    # Seeds are reduced mod 2**64, so one outside that range would write the
+    # dataset of a seed inside it under a different recorded seed.
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_2_without_output(self, tmp_path, capsys, source, seed):
+        rc, out = self._gen_with_seed(tmp_path, source, seed)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be between 0 and 2**64 - 1, got {seed}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_the_ends_of_64_bits_is_written(self, tmp_path, source, seed):
+        rc, out = self._gen_with_seed(tmp_path, source, seed)
+        assert rc == 0
+        assert json.loads((out / "gen_config.json").read_text())["seed"] == seed
 
     # sha256 of graph.txt + trajectories.txt written by gen --fully-utilized,
     # pinned from the output of an earlier release.

@@ -13,8 +13,9 @@ from netmat import (
     sweep_configs,
 )
 from netmat.fileio import graph_to_text, trajectories_to_text
-from netmat.generators import GenConfig, gen_digraph, gen_fully_utilized
+from netmat.generators import GenConfig, _shortest_path_cover, gen_digraph, gen_fully_utilized
 from netmat.utilization import is_fully_utilized, validate_trajectory
+from oracles import bfs_shortest_path_cover
 
 
 def _serialize(d: Dataset) -> str:
@@ -35,6 +36,18 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             GenConfig(**kwargs)
+
+    # _mix reduces a seed mod 2**64, so seeds outside that range would
+    # alias ones inside it: -1 would give 2**64 - 1's dataset.
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        message = rf"^seed must be between 0 and 2\*\*64 - 1, got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            GenConfig(n=3, edge_prob=0.5, max_traj=1, max_len=2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_the_ends_of_64_bits_accepted(self, seed):
+        assert GenConfig(n=3, edge_prob=0.5, max_traj=1, max_len=2, seed=seed).seed == seed
 
 
 class TestDigraph:
@@ -133,6 +146,13 @@ class TestFullyUtilized:
         byid = {v.id: v for v in report.verdicts}
         assert byid["FU.FHAT_EQ_A"].holds
         assert byid["FU.DHAT_EQ_PHAT"].holds
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 14), st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
+    def test_cover_is_the_bfs_tree_cover(self, n, edge_prob, seed):
+        g = gen_digraph(GenConfig(n=n, edge_prob=edge_prob, max_traj=0, max_len=0, seed=seed))
+        cover = [t.nodes for t in _shortest_path_cover(g)]
+        assert cover == bfs_shortest_path_cover(g)
 
     def test_cover_exceeds_edge_count(self):
         cfg = GenConfig(n=4, edge_prob=0.9, max_traj=0, max_len=4, seed=8)

@@ -45,6 +45,7 @@ from netmat.identities import (
     specs_from_json,
 )
 from netmat.matrices import ew_sub, hadamard
+from netmat.structure import StructureBundle
 
 from oracles import bundle_matrices, evaluate_identity_materialized, is_zero, mutually_exclusive
 from test_utilization import dataset_from_seed
@@ -361,36 +362,41 @@ class TestCompiledEvaluator:
         with pytest.raises(NegativeResult, match=r"^1 - 2 at cell \(1, 2\)$"):
             audit_dataset(d, specs=(finite, spec))
 
-    def test_bundles_of_different_dimension(self, chain3_graph, shortcut_utilization):
-        # A and F agree on the 3x3 corner they share, so a bare-symbol
-        # relation is caught only by the dimension check.
+    def test_bundles_of_different_dimension(self, chain3_graph, shortcut_graph, shortcut_utilization):
+        # Every matrix of a dataset has its graph's dimension, so bundles of
+        # different dimension raise whatever the relation reads: symbols of
+        # both bundles, of one bundle alone, or "0".  A and F agree on the
+        # 3x3 corner they share, so a bare-symbol relation is caught only by
+        # the dimension check.  The structure's size comes first.
         s = build_structure(chain3_graph)
         cases = (
-            ("eq", _had("A", "F"), "0", "3x3 vs 4x4"),
-            ("eq", "A", "F", "3x3 vs 4x4"),
-            ("leq", "A", "F", "3x3 vs 4x4"),
-            ("eq", "F", "A", "4x4 vs 3x3"),
-            ("eq", "F", "0", "4x4 vs 3x3"),
-            ("eq", _add("A", "F"), "F", "3x3 vs 4x4"),
+            ("eq", _had("A", "F"), "0"),
+            ("eq", "A", "F"),
+            ("leq", "A", "F"),
+            ("eq", "F", "A"),
+            ("eq", _add("A", "F"), "F"),
+            ("eq", "A", _had("Phat", "A")),
+            ("eq", _had("P", "A"), "A"),
+            ("eq", "T", _had("T", "Tc")),
+            ("eq", _sub("Tc", "L"), "Tc"),
+            ("eq", "F", "0"),
+            ("eq", "A", "0"),
+            ("eq", _had("A", "Ehat"), "0"),
         )
-        for relation, lhs, rhs, message in cases:
+        for relation, lhs, rhs in cases:
             spec = IdentitySpec("X", IdentityClass.UNIVERSAL, relation, lhs, rhs, "")
-            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            with pytest.raises(DimensionMismatch, match=r"^3x3 vs 4x4$") as exc:
                 evaluate_identity(spec, s, shortcut_utilization)
-        # A relation over one bundle's symbols alone never meets the
-        # mismatch, and its witness or exception names a cell of that
-        # bundle's matrices: (1, 3) is the eighth cell of a 4x4 matrix.
-        cases = (
-            ("eq", "A", _had("Phat", "A"), (True, None)),
-            ("eq", _had("P", "A"), "A", (UndefinedProduct, "X: INF * 0 at cell (1, 0)")),
-            ("eq", "T", _had("T", "Tc"), (False, Witness(1, 3, 1, 0))),
-            ("eq", _sub("Tc", "L"), "Tc", (NegativeResult, "0 - 1 at cell (1, 3)")),
-        )
-        for relation, lhs, rhs, expected in cases:
+            assert exc.value.args == (3, 4)
+            assert str(pickle.loads(pickle.dumps(exc.value))) == "3x3 vs 4x4"
+        # One bundle of mixed dimension: a 3x3 A beside a 4x4 P and E.
+        s4 = build_structure(shortcut_graph)
+        mixed = StructureBundle(A=s.A, P=s4.P, E=s4.E)
+        u = build_utilization(Dataset(chain3_graph, ()), s)
+        for relation, lhs, rhs in cases:
             spec = IdentitySpec("X", IdentityClass.UNIVERSAL, relation, lhs, rhs, "")
-            outcome = _outcome(evaluate_identity, spec, s, shortcut_utilization)
-            assert outcome == expected
-            assert outcome == _outcome(evaluate_identity_materialized, spec, s, shortcut_utilization)
+            with pytest.raises(DimensionMismatch, match=r"^3x3 vs 4x4$"):
+                evaluate_identity(spec, mixed, u)
 
     def test_spec_with_list_expressions(self, shortcut_structure, shortcut_utilization):
         spec = IdentitySpec("EXT.6", IdentityClass.NEGATIVE, "eq", ["had", "Ehat", "L"], "L", "")
