@@ -38,12 +38,20 @@ class RepeatedNode(TrajectoryError):
 
 
 class MissingEdge(TrajectoryError):
-    """A consecutive trajectory pair is not an edge of the graph."""
+    """A consecutive trajectory pair is not an edge of the graph; args stay
+    (src, dst) so it pickles."""
 
-    def __init__(self, src, dst):
-        self.src = src
-        self.dst = dst
-        super().__init__(f"no edge {src} -> {dst}")
+    @property
+    def src(self):
+        return self.args[0]
+
+    @property
+    def dst(self):
+        return self.args[1]
+
+    def __str__(self):
+        src, dst = self.args
+        return f"no edge {src} -> {dst}"
 
 
 class CrossCheckFailure(NetmatError):

@@ -1,4 +1,7 @@
-"""Text serialization for graphs, trajectories, and matrices.
+"""Reads graph and trajectory files; writes them and the matrices.
+
+netmat reads no matrix back: ``compute`` writes the matrix formats, and the
+test suite keeps the reference reader of each (``tests/oracles.py``).
 
 Formats:
 
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from itertools import accumulate
 from operator import add
 from pathlib import Path
@@ -46,13 +48,6 @@ def graph_to_text(g: Graph) -> str:
     lines = ["nodes: " + " ".join(g.labels)]
     lines.extend(f"{g.labels[i]} {g.labels[j]}" for i, j in sorted(g.edges))
     return "\n".join(lines) + "\n"
-
-
-def _check_labels(labels, source: str, line_no: int | None = None) -> None:
-    try:
-        check_labels(labels)
-    except ValueError as e:
-        raise ParseError(str(e), source, line_no) from e
 
 
 def graph_from_text(text: str, source: str = "<graph>") -> Graph:
@@ -105,7 +100,10 @@ def graph_from_text(text: str, source: str = "<graph>") -> Graph:
     # The loop above rejected self-loops and duplicate edges, and its indices
     # are in range by construction; only the label rules remain.
     labels = tuple(labels)
-    _check_labels(labels, source)
+    try:
+        check_labels(labels)
+    except ValueError as e:
+        raise ParseError(str(e), source) from e
     return Graph._trusted(labels, frozenset(edges))
 
 
@@ -214,60 +212,6 @@ def matrix_to_csv(m: CountMatrix, labels: tuple[str, ...]) -> str:
     return header + "".join(map(add, heads, rows))
 
 
-def _parse_cell(token: str, source: str, line_no: int):
-    # Only what matrix_to_csv writes: INF or a run of ASCII digits.  int()
-    # alone would also take "-1", "+1", "1_0" and non-ASCII digits.
-    token = token.strip()
-    if token == "INF":
-        return INF
-    try:
-        if token.isascii() and token.isdigit():
-            return int(token)
-    except ValueError:  # more digits than int() converts from a string
-        pass
-    raise ParseError(f"bad cell value {token!r}", source, line_no)
-
-
-def matrix_from_csv(
-    text: str, source: str = "<matrix>"
-) -> tuple[CountMatrix, tuple[str, ...]]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        rows = [r for r in reader if r]
-    except csv.Error as e:
-        raise ParseError(f"malformed CSV: {e}", source, reader.line_num) from e
-    if not rows:
-        raise ParseError("empty matrix file", source)
-    header = rows[0]
-    if header[0].strip():
-        raise ParseError("top-left header cell must be empty", source, 1)
-    labels = tuple(h.strip() for h in header[1:])
-    n = len(labels)
-    if n == 0:
-        raise ParseError("matrix header declares no labels", source, 1)
-    _check_labels(labels, source, 1)
-    if len(rows) - 1 != n:
-        raise ParseError(f"expected {n} data rows, found {len(rows) - 1}", source)
-    cells = []
-    for i, row in enumerate(rows[1:]):
-        line_no = i + 2
-        if len(row) != n + 1:
-            raise ParseError(
-                f"expected {n + 1} columns, found {len(row)}", source, line_no
-            )
-        if row[0].strip() != labels[i]:
-            raise ParseError(
-                f"row label {row[0].strip()!r} does not match column label {labels[i]!r}",
-                source,
-                line_no,
-            )
-        cells.append(tuple(_parse_cell(tok, source, line_no) for tok in row[1:]))
-    try:
-        return CountMatrix(tuple(cells)), labels
-    except ValueError as e:
-        raise ParseError(str(e), source) from e
-
-
 def cell_to_json(v):
     """JSON form of one cell: the count, or null for INF."""
     return None if v is INF else v
@@ -281,43 +225,3 @@ def matrix_to_json_obj(m: CountMatrix, labels: tuple[str, ...]) -> dict:
         "labels": list(labels),
         "cells": [list(map(cell_to_json, row)) for row in m.cells],
     }
-
-
-def matrix_from_json_obj(
-    obj, source: str = "<matrix>"
-) -> tuple[CountMatrix, tuple[str, ...]]:
-    try:
-        n = obj["n"]
-        labels = obj["labels"]
-        raw = obj["cells"]
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"matrix JSON missing field: {e}", source) from e
-    if type(n) is not int:
-        raise ParseError(f"matrix JSON n must be an integer, got {n!r}", source)
-    if not isinstance(labels, (list, tuple)):
-        raise ParseError(f"matrix JSON labels must be a list, got {labels!r}", source)
-    labels = tuple(labels)
-    _check_labels(labels, source)
-    if not isinstance(raw, (list, tuple)):
-        raise ParseError("matrix JSON cells must be a list of rows", source)
-    if len(labels) != n or len(raw) != n:
-        raise ParseError(f"matrix JSON shape disagrees with n={n}", source)
-    cells = []
-    for row in raw:
-        if not isinstance(row, (list, tuple)):
-            raise ParseError(f"matrix JSON row {row!r} is not a list", source)
-        if len(row) != n:
-            raise ParseError(f"matrix JSON row of length {len(row)}, expected {n}", source)
-        cells.append(tuple(INF if v is None else v for v in row))
-    try:
-        return CountMatrix(tuple(cells)), labels
-    except (ValueError, TypeError) as e:
-        raise ParseError(str(e), source) from e
-
-
-def matrix_from_json(text: str, source: str = "<matrix>"):
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise ParseError(f"invalid JSON: {e}", source) from e
-    return matrix_from_json_obj(obj, source)

@@ -101,10 +101,6 @@ SYMBOLS = tuple(_GLYPH)
 # the utilization bundle's.
 _STRUCTURE_SYMBOLS = frozenset(SYMBOLS[:5])
 
-# Each bundle's matrices in SYMBOLS order, read by one call per bundle.
-_STRUCTURE_MATRICES = operator.attrgetter(*SYMBOLS[:5])
-_UTILIZATION_MATRICES = operator.attrgetter(*SYMBOLS[5:-1])
-
 # Per operator: its glyph, its plain operator on finite cells and its cell
 # rule, which decides INF operands and negative differences.
 _OPS = {
@@ -421,8 +417,7 @@ def _distinct_table(s: StructureBundle, u: UtilizationBundle) -> _CellTable:
     # freed tuples of each length from 1 to 20 on free lists for the life
     # of the process, and a sweep of small audits would fill them.
     first = {}
-    matrices = _STRUCTURE_MATRICES(s) + _UTILIZATION_MATRICES(u)
-    chains = [chain.from_iterable(m.cells) for m in matrices]
+    chains = [chain.from_iterable(symbol_matrix(s, u, x).cells) for x in SYMBOLS[:-1]]
     deque(map(first.setdefault, zip(*chains), count()), 0)
     table = _CellTable(s.A.n, list(first.values()), (s, u))
     table.update(zip(SYMBOLS[:-1], map(list, zip(*first))))

@@ -8,13 +8,12 @@ are immutable and every operation is a pure function, so matrices are safe
 to share across threads.
 
 Cells are validated where data comes in, and only there: the public
-CountMatrix constructor and the two matrix parsers of ``fileio`` run one
-per-cell loop, which names the first bad row or cell.  Matrices the
-package computes skip that loop through the private ``_trusted``
-constructor, because their cells are valid by construction: binarize and
-the cell rules map valid cells to valid cells (or raise), and the
-adjacency, distance, external and utilization builders emit only 0/1
-flags, hop counts, INF and counts, as tuples of tuples.
+CountMatrix constructor runs one per-cell loop, which names the first bad
+row or cell.  Matrices the package computes skip that loop through the
+private ``_trusted`` constructor, because their cells are valid by
+construction: binarize and the cell rules map valid cells to valid cells
+(or raise), and the adjacency, distance, external and utilization builders
+emit only 0/1 flags, hop counts, INF and counts, as tuples of tuples.
 
 binarize alone knows the hat rule.  It translates a matrix's row-major byte
 buffer (``_byte_buffer``, also read by the CSV writer) in one call when

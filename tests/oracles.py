@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 from collections import deque
 
 from netmat import (
@@ -16,7 +17,7 @@ from netmat import (
 from netmat.errors import DimensionMismatch, MissingEdge, RepeatedNode, TooShort, TrajectoryError
 from netmat.identities import SYMBOLS, IdentitySpec, IdentityVerdict, Witness
 from netmat.matrices import CountMatrix
-from netmat.structure import StructureBundle
+from netmat.structure import StructureBundle, check_labels
 from netmat.utilization import UtilizationBundle
 
 
@@ -348,3 +349,109 @@ def matrix_to_csv_rows(m: CountMatrix, labels: tuple[str, ...]) -> str:
     writer.writerow(["", *labels])
     writer.writerows([label, *row] for label, row in zip(labels, m.cells))
     return buf.getvalue()
+
+
+# The reference readers of the two matrix formats netmat compute writes.
+# The package reads no matrix back; round-trip tests and CI read its output
+# through these, which accept only what the writers spell.
+
+
+def _check_labels(labels, source: str, line_no: int | None = None) -> None:
+    try:
+        check_labels(labels)
+    except ValueError as e:
+        raise ParseError(str(e), source, line_no) from e
+
+
+def _parse_cell(token: str, source: str, line_no: int):
+    # Only what matrix_to_csv writes: INF or a run of ASCII digits.  int()
+    # alone would also take "-1", "+1", "1_0" and non-ASCII digits.
+    token = token.strip()
+    if token == "INF":
+        return INF
+    try:
+        if token.isascii() and token.isdigit():
+            return int(token)
+    except ValueError:  # more digits than int() converts from a string
+        pass
+    raise ParseError(f"bad cell value {token!r}", source, line_no)
+
+
+def matrix_from_csv(
+    text: str, source: str = "<matrix>"
+) -> tuple[CountMatrix, tuple[str, ...]]:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [r for r in reader if r]
+    except csv.Error as e:
+        raise ParseError(f"malformed CSV: {e}", source, reader.line_num) from e
+    if not rows:
+        raise ParseError("empty matrix file", source)
+    header = rows[0]
+    if header[0].strip():
+        raise ParseError("top-left header cell must be empty", source, 1)
+    labels = tuple(h.strip() for h in header[1:])
+    n = len(labels)
+    if n == 0:
+        raise ParseError("matrix header declares no labels", source, 1)
+    _check_labels(labels, source, 1)
+    if len(rows) - 1 != n:
+        raise ParseError(f"expected {n} data rows, found {len(rows) - 1}", source)
+    cells = []
+    for i, row in enumerate(rows[1:]):
+        line_no = i + 2
+        if len(row) != n + 1:
+            raise ParseError(
+                f"expected {n + 1} columns, found {len(row)}", source, line_no
+            )
+        if row[0].strip() != labels[i]:
+            raise ParseError(
+                f"row label {row[0].strip()!r} does not match column label {labels[i]!r}",
+                source,
+                line_no,
+            )
+        cells.append(tuple(_parse_cell(tok, source, line_no) for tok in row[1:]))
+    try:
+        return CountMatrix(tuple(cells)), labels
+    except ValueError as e:
+        raise ParseError(str(e), source) from e
+
+
+def matrix_from_json_obj(
+    obj, source: str = "<matrix>"
+) -> tuple[CountMatrix, tuple[str, ...]]:
+    try:
+        n = obj["n"]
+        labels = obj["labels"]
+        raw = obj["cells"]
+    except (KeyError, TypeError) as e:
+        raise ParseError(f"matrix JSON missing field: {e}", source) from e
+    if type(n) is not int:
+        raise ParseError(f"matrix JSON n must be an integer, got {n!r}", source)
+    if not isinstance(labels, (list, tuple)):
+        raise ParseError(f"matrix JSON labels must be a list, got {labels!r}", source)
+    labels = tuple(labels)
+    _check_labels(labels, source)
+    if not isinstance(raw, (list, tuple)):
+        raise ParseError("matrix JSON cells must be a list of rows", source)
+    if len(labels) != n or len(raw) != n:
+        raise ParseError(f"matrix JSON shape disagrees with n={n}", source)
+    cells = []
+    for row in raw:
+        if not isinstance(row, (list, tuple)):
+            raise ParseError(f"matrix JSON row {row!r} is not a list", source)
+        if len(row) != n:
+            raise ParseError(f"matrix JSON row of length {len(row)}, expected {n}", source)
+        cells.append(tuple(INF if v is None else v for v in row))
+    try:
+        return CountMatrix(tuple(cells)), labels
+    except (ValueError, TypeError) as e:
+        raise ParseError(str(e), source) from e
+
+
+def matrix_from_json(text: str, source: str = "<matrix>"):
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ParseError(f"invalid JSON: {e}", source) from e
+    return matrix_from_json_obj(obj, source)

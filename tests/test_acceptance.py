@@ -22,7 +22,6 @@ from netmat import (
     sweep_configs,
 )
 from netmat.cli import main
-from netmat.fileio import matrix_from_csv
 from netmat.generators import GenConfig, gen_digraph, gen_fully_utilized
 from netmat.identities import IdentityClass
 from netmat.matrices import ew_add, hadamard
@@ -30,6 +29,7 @@ from netmat.matrices import ew_add, hadamard
 from oracles import (
     alternative_route_matrix,
     floyd_warshall_distance_matrix,
+    matrix_from_csv,
     substitute_route_matrix,
 )
 

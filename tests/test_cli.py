@@ -8,9 +8,11 @@ import pytest
 from netmat import INF, Dataset, audit_dataset, gen_dataset
 from netmat import cli, utilization
 from netmat.cli import main
-from netmat.fileio import load_graph, load_trajectories, matrix_from_csv
+from netmat.fileio import load_graph, load_trajectories
 from netmat.generators import GenConfig
 from netmat.identities import SYMBOLS, report_to_json_obj
+
+from oracles import matrix_from_csv
 
 GRAPH_TEXT = "nodes: A B C D\nA B\nB C\nB D\nC D\n"
 TRAJ_TEXT = "A B C D\n"

@@ -3,16 +3,13 @@ import operator
 import re
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netmat import INF, Graph, ParseError, Trajectory
 from netmat.fileio import (
     graph_from_text,
     graph_to_text,
-    matrix_from_csv,
-    matrix_from_json,
-    matrix_from_json_obj,
     matrix_to_csv,
     matrix_to_json_obj,
     trajectories_from_text,
@@ -20,7 +17,15 @@ from netmat.fileio import (
 )
 from netmat.matrices import CountMatrix
 
-from oracles import matrix_to_csv_rows, trajectories_by_token, zeros
+from oracles import (
+    matrix_from_csv,
+    matrix_from_json,
+    matrix_from_json_obj,
+    matrix_to_csv_rows,
+    trajectories_by_token,
+    zeros,
+)
+from test_parse_fuzz import DEEP_ARRAY, json_values, parse_or_parse_error, texts
 
 
 @st.composite
@@ -259,6 +264,11 @@ class TestMatrixCsv:
         assert exc.value.source == "m.csv"
         assert exc.value.line == line
 
+    @settings(max_examples=300, deadline=None)
+    @given(texts)
+    def test_any_text_raises_only_parse_error(self, text):
+        parse_or_parse_error(matrix_from_csv, text)
+
 
 class TestMatrixJson:
     def test_round_trip_with_null_for_inf(self):
@@ -308,3 +318,13 @@ class TestMatrixJson:
     def test_invalid_json_rejected(self):
         with pytest.raises(ParseError):
             matrix_from_json("{not json")
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_any_json_raises_only_parse_error(self, value):
+        parse_or_parse_error(matrix_from_json, json.dumps(value))
+
+    def test_deeply_nested_json_is_a_parse_error(self):
+        with pytest.raises(ParseError) as exc:
+            matrix_from_json(DEEP_ARRAY)
+        assert str(exc.value).startswith("<matrix>: invalid JSON: ")
